@@ -15,7 +15,7 @@
 // so the bench trajectory can track the parallel-layer speedup. Timing
 // flows through the obs metrics registry (not ad-hoc clock reads): each
 // task reports its total seconds plus a per-phase breakdown from the
-// instrumented gp.fit / gp.predict / forest.fit / optimizer.suggest.*
+// instrumented gp.fit / gp.predict.batch / forest.fit / optimizer.suggest.*
 // histograms. Set DBTUNE_FIG9_REPORT=<path> to also write the JSON lines
 // to a file (CI uploads it as an artifact).
 
@@ -177,16 +177,17 @@ TaskResult MeasureWithRegistry(const std::vector<std::string>& phase_names,
 
 TaskResult TimeGpFit(const FeatureMatrix& x, const std::vector<double>& y,
                      const FeatureMatrix& queries) {
-  return MeasureWithRegistry({"gp.fit", "gp.predict"}, [&] {
+  return MeasureWithRegistry({"gp.fit", "gp.predict.batch"}, [&] {
     GaussianProcessOptions options;
     options.hyperopt_every = 1;
     GaussianProcess gp(std::make_unique<Matern52Kernel>(), options);
     if (!gp.Fit(x, y).ok()) return 0.0;
     double checksum = gp.log_marginal_likelihood();
-    for (const auto& q : queries) {
-      double mean = 0.0, var = 0.0;
-      gp.PredictMeanVar(q, &mean, &var);
-      checksum += mean + var;
+    // The batched path the optimizers score candidates through.
+    std::vector<double> means, variances;
+    gp.PredictMeanVarBatch(queries, &means, &variances);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      checksum += means[i] + variances[i];
     }
     return checksum;
   });
@@ -227,7 +228,7 @@ TaskResult TimeBoIteration(OptimizerType type,
                                   obs.internal_metrics);
   }
   return MeasureWithRegistry(
-      {suggest_histogram, "gp.fit", "gp.predict", "forest.fit"}, [&] {
+      {suggest_histogram, "gp.fit", "gp.predict.batch", "forest.fit"}, [&] {
         const Configuration suggestion = optimizer->Suggest();
         double checksum = 0.0;
         for (size_t i = 0; i < suggestion.size(); ++i) {

@@ -26,24 +26,8 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
   // below resumes any recorded trajectory. Store failures degrade to
   // tuning without durability.
   std::unique_ptr<store::ObservationStore> owned_store;
-  store::ObservationStore* store = options.session.store;
-  if (store == nullptr) {
-    const std::string store_path =
-        store::ObservationStore::ResolvePath(options.session.store_path);
-    if (!store_path.empty()) {
-      store::StoreOptions store_options;
-      store_options.snapshot_every =
-          store::ObservationStore::ResolveSnapshotEvery();
-      auto opened = store::ObservationStore::Open(store_path, store_options);
-      if (opened.ok()) {
-        owned_store = std::move(opened).value();
-        store = owned_store.get();
-      } else {
-        DBTUNE_LOG(kWarning) << "observation store disabled: "
-                             << opened.status().ToString();
-      }
-    }
-  }
+  store::ObservationStore* store =
+      ResolveSessionStore(options.session, &owned_store);
   ObservationRepository merged_repository;
   const ObservationRepository* effective_repository = repository;
   if (store != nullptr && store->num_tasks() > 0) {
@@ -116,12 +100,7 @@ Result<AdvisorReport> TuneDbms(DbmsSimulator* simulator,
   // Seal the finished trajectory into the persisted base-task pool so the
   // next advisor run (any workload) starts from a richer repository.
   if (store != nullptr) {
-    std::string session_id = options.session.store_session_id;
-    if (session_id.empty()) {
-      session_id = options.session.session_label.empty()
-                       ? "default"
-                       : options.session.session_label;
-    }
+    const std::string session_id = SessionStoreId(options.session);
     const Status finished =
         store->FinishSession(session_id, env.space(), session_id);
     if (!finished.ok()) {

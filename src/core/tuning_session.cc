@@ -1,8 +1,6 @@
 #include "core/tuning_session.h"
 
-#include <algorithm>
-
-#include "obs/clock.h"
+#include "core/session_engine.h"
 #include "obs/diagnostics.h"
 #include "obs/metrics.h"
 #include "obs/metrics_export.h"
@@ -14,13 +12,7 @@
 
 namespace dbtune {
 
-namespace {
-
-/// Resolves the durable-store handle for this run: the borrowed handle
-/// when set, otherwise a freshly opened store when a path resolves, else
-/// none. Store failures disable durability with a warning instead of
-/// failing the session — tuning results still matter on a broken disk.
-store::ObservationStore* ResolveStore(
+store::ObservationStore* ResolveSessionStore(
     const SessionControls& controls,
     std::unique_ptr<store::ObservationStore>* owned) {
   if (controls.store != nullptr) return controls.store;
@@ -39,37 +31,21 @@ store::ObservationStore* ResolveStore(
   return owned->get();
 }
 
-std::string ResolveStoreSessionId(const SessionControls& controls) {
+std::string SessionStoreId(const SessionControls& controls) {
   if (!controls.store_session_id.empty()) return controls.store_session_id;
   if (!controls.session_label.empty()) return controls.session_label;
   return "default";
 }
 
-}  // namespace
-
 SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
                                size_t iterations, SessionControls controls) {
   DBTUNE_CHECK(env != nullptr && optimizer != nullptr);
   DBTUNE_CHECK(optimizer->space().dimension() == env->space().dimension());
-  optimizer->SetReferenceScore(env->default_score());
 
-  static obs::Histogram& suggest_hist =
-      obs::MetricsRegistry::Get().histogram("session.suggest");
   static obs::Histogram& evaluate_hist =
       obs::MetricsRegistry::Get().histogram("session.evaluate");
-  static obs::Histogram& observe_hist =
-      obs::MetricsRegistry::Get().histogram("session.observe");
-  static obs::Counter& iteration_counter =
-      obs::MetricsRegistry::Get().counter("session.iterations");
-  static obs::Gauge& best_score_gauge =
-      obs::MetricsRegistry::Get().gauge("session.best_score");
-
   obs::SessionLogger session_log(
       obs::SessionLogger::ResolvePath(controls.session_log_path));
-
-  // Diagnostics observe the session; they never feed back into it (no
-  // RNG draws, no clock reads inside Record), so enabling them leaves
-  // the tuning trajectory bitwise unchanged.
   std::unique_ptr<obs::TuningDiagnostics> diagnostics;
   if (controls.diagnostics || obs::DiagnosticsEnvEnabled()) {
     obs::TuningDiagnosticsOptions diag_options;
@@ -80,141 +56,55 @@ SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
       obs::MetricsExporter::ResolvePath(controls.metrics_export_path),
       obs::MetricsExporter::ResolveIntervalSeconds());
 
+  SessionEngineOptions engine_options;
+  engine_options.session_log = &session_log;
+  engine_options.diagnostics = diagnostics.get();
+  engine_options.exporter = &exporter;
+  engine_options.best_effort_store = true;
+  SessionEngine engine(engine_options);
+  engine.Start(optimizer, env->default_score());
+
   SessionResult result;
   result.improvement_trace.reserve(iterations);
   result.objective_trace.reserve(iterations);
   const double sim_seconds_start = env->simulator().simulated_seconds();
 
+  // A best-effort engine warns about store failures and tunes on, so
+  // none of its calls below can fail.
   std::unique_ptr<store::ObservationStore> owned_store;
-  store::ObservationStore* store = ResolveStore(controls, &owned_store);
-  const std::string store_session_id = ResolveStoreSessionId(controls);
-  // Recovered observations still pending replay. Cleared on divergence.
-  std::vector<Observation> recovered;
+  store::ObservationStore* store = ResolveSessionStore(controls, &owned_store);
   if (store != nullptr) {
-    const Status begun =
-        store->BeginSession(store_session_id, env->space().dimension());
-    if (!begun.ok()) {
-      DBTUNE_LOG(kWarning) << "observation store disabled: "
-                           << begun.ToString();
-      store = nullptr;
-    } else {
-      const store::StoredSession* stored =
-          store->FindSession(store_session_id);
-      if (stored != nullptr && !stored->observations.empty()) {
-        recovered.assign(
-            stored->observations.begin(),
-            stored->observations.begin() +
-                std::min(stored->observations.size(), iterations));
-      }
-    }
+    const Status bound =
+        engine.BindStore(store, SessionStoreId(controls), iterations);
+    DBTUNE_CHECK_MSG(bound.ok(), bound.ToString());
   }
 
   for (size_t iter = 0; iter < iterations; ++iter) {
     DBTUNE_TRACE_SPAN("session.iteration");
-
-    const double t0 = obs::MonotonicSeconds();
-    const Configuration config = [&] {
-      obs::ScopedLatency latency(&suggest_hist);
-      DBTUNE_TRACE_SPAN("session.suggest");
-      return optimizer->Suggest();
-    }();
-    const double t1 = obs::MonotonicSeconds();
-
-    // When the store recovered a history prefix, substitute the recorded
-    // observation for the stress test: Suggest() above re-advanced the
-    // optimizer exactly as in the original run, and Replay() keeps the
-    // environment and simulator noise stream aligned, so the session
-    // continues on a bitwise-identical trajectory. A recorded config
-    // that no longer matches the re-suggested one means the history was
-    // produced under different code/seed — truncate it durably and fall
-    // back to live evaluation from here on.
-    bool replay = false;
-    if (iter < recovered.size()) {
-      if (env->space().Clip(config) == recovered[iter].config) {
-        replay = true;
-      } else {
-        DBTUNE_LOG(kWarning)
-            << "store replay diverged for session '" << store_session_id
-            << "' at iteration " << (iter + 1)
-            << "; truncating stored history and continuing live";
-        recovered.clear();
-        const Status truncated =
-            store->TruncateSession(store_session_id, iter);
-        if (!truncated.ok()) {
-          DBTUNE_LOG(kWarning) << "observation store disabled: "
-                               << truncated.ToString();
-          store = nullptr;
-        }
-      }
-    }
-
+    const Configuration config = engine.Suggest().value();
+    // While the engine replays a recovered prefix, Replay() re-applies
+    // the recorded outcome and keeps the simulator noise stream aligned,
+    // so the session continues on a bitwise-identical trajectory.
     const Observation observation = [&] {
       obs::ScopedLatency latency(&evaluate_hist);
       DBTUNE_TRACE_SPAN("session.evaluate");
-      return replay ? env->Replay(recovered[iter]) : env->Evaluate(config);
+      const Observation* recorded = engine.recorded();
+      return recorded != nullptr ? env->Replay(*recorded)
+                                 : env->Evaluate(config);
     }();
-    if (replay) {
-      ++result.replayed_iterations;
-    } else if (store != nullptr) {
-      const Status appended = store->AppendObservation(
-          store_session_id, env->iterations(), observation);
-      if (!appended.ok()) {
-        DBTUNE_LOG(kWarning) << "observation store disabled: "
-                             << appended.ToString();
-        store = nullptr;
-      }
-    }
-    const double t2 = obs::MonotonicSeconds();
+    const Status observed = engine.Observe(observation, env);
+    DBTUNE_CHECK_MSG(observed.ok(), observed.ToString());
 
-    {
-      obs::ScopedLatency latency(&observe_hist);
-      DBTUNE_TRACE_SPAN("session.observe");
-      optimizer->ObserveWithMetrics(observation.config, observation.score,
-                                    observation.internal_metrics);
-    }
-    const double t3 = obs::MonotonicSeconds();
-
-    const double overhead = (t1 - t0) + (t3 - t2);
+    const double overhead = engine.overhead_seconds();
     result.algorithm_overhead_seconds += overhead;
     if (controls.record_overhead) {
       result.per_iteration_overhead.push_back(overhead);
     }
     result.improvement_trace.push_back(env->ImprovementPercent());
     result.objective_trace.push_back(env->best_objective());
-
-    if (obs::MetricsEnabled()) {
-      iteration_counter.Increment();
-      best_score_gauge.Set(env->best_objective());
-    }
-    if (diagnostics != nullptr) {
-      const SuggestInfo& info = optimizer->last_suggest_info();
-      obs::DiagnosticsPrediction prediction;
-      prediction.has_prediction = info.has_prediction;
-      prediction.mean = info.predicted_mean;
-      prediction.variance = info.predicted_variance;
-      prediction.has_acquisition = info.has_acquisition;
-      prediction.acquisition_best = info.acquisition_best;
-      prediction.acquisition_spread = info.acquisition_spread;
-      diagnostics->Record(prediction, observation.score);
-    }
-    if (session_log.enabled()) {
-      obs::SessionIterationRecord record;
-      record.iteration = iter + 1;
-      record.suggest_seconds = t1 - t0;
-      record.evaluate_seconds = t2 - t1;
-      record.observe_seconds = t3 - t2;
-      record.score = observation.score;
-      record.best_score = env->best_objective();
-      record.improvement_percent = env->ImprovementPercent();
-      if (diagnostics != nullptr) {
-        record.has_diagnostics = true;
-        record.diagnostics = diagnostics->last();
-      }
-      session_log.Log(record);
-    }
-    exporter.MaybeExport();
   }
 
+  result.replayed_iterations = engine.replayed();
   result.final_improvement = env->ImprovementPercent();
   result.final_objective = env->best_objective();
   result.best_iteration = env->best_iteration();

@@ -86,10 +86,22 @@ struct SessionControls {
   store::ObservationStore* store = nullptr;
 };
 
+/// The durable store a session with `controls` binds: the borrowed
+/// `controls.store`, else a store opened at the resolved `store_path`
+/// (owned by `*owned`), else null. An open failure warns and returns null
+/// — tuning results still matter on a broken disk.
+store::ObservationStore* ResolveSessionStore(
+    const SessionControls& controls,
+    std::unique_ptr<store::ObservationStore>* owned);
+
+/// The durable-store session id: `store_session_id`, else
+/// `session_label`, else "default".
+std::string SessionStoreId(const SessionControls& controls);
+
 /// Drives `iterations` suggest/evaluate/observe rounds of `optimizer`
-/// against `env` (the paper's Figure 2 workflow loop) and reports the
-/// traces every experiment consumes. The optimizer must have been built
-/// over `env->space()`.
+/// against `env` (the paper's Figure 2 workflow loop, stepped by a
+/// SessionEngine) and reports the traces every experiment consumes. The
+/// optimizer must have been built over `env->space()`.
 SessionResult RunTuningSession(TuningEnvironment* env, Optimizer* optimizer,
                                size_t iterations,
                                SessionControls controls = {});

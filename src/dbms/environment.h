@@ -95,6 +95,10 @@ class TuningEnvironment {
 
  private:
   Configuration ToFullConfiguration(const Configuration& sub_config) const;
+  /// The bookkeeping Evaluate and Replay share: failure substitution,
+  /// best/worst tracking and the history append.
+  Observation Record(Configuration config, bool failed, double objective,
+                     std::vector<double> internal_metrics);
 
   DbmsSimulator* simulator_;
   std::vector<size_t> knob_indices_;

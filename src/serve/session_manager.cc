@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/session_engine.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "store/observation_store.h"
@@ -18,13 +19,9 @@ struct ServedSession {
   /// The session's own copy of the registered space (stable even if the
   /// registry entry is later replaced).
   ConfigurationSpace space DBTUNE_GUARDED_BY(mu);
-  /// Null while evicted; resurrection replays the durable history into a
-  /// fresh optimizer.
-  std::unique_ptr<Optimizer> optimizer DBTUNE_GUARDED_BY(mu);
-  /// Observations applied to `optimizer` (== durable history length).
-  size_t observed DBTUNE_GUARDED_BY(mu) = 0;
-  /// True between Suggest and the matching Observe.
-  bool suggestion_outstanding DBTUNE_GUARDED_BY(mu) = false;
+  /// Not resident while evicted; resurrection replays the durable history
+  /// into a fresh optimizer.
+  SessionEngine engine DBTUNE_GUARDED_BY(mu);
   bool closed DBTUNE_GUARDED_BY(mu) = false;
   /// Guarded by the manager mutex, not `mu` (see above).
   double last_touch_seconds = 0.0;
@@ -39,60 +36,35 @@ obs::Gauge& ActiveGauge() {
 }
 
 /// Rebuilds the optimizer of a fresh or evicted session and replays the
-/// durable history through it — the same call sequence the standalone
-/// loop issues (SetReferenceScore, then Suggest/ObserveWithMetrics per
-/// iteration), so the resurrected optimizer state is bitwise identical
-/// to the pre-eviction one. No-op when the optimizer is already live.
+/// durable history through its engine, so the resurrected optimizer state
+/// is bitwise identical to the pre-eviction one. No-op when resident.
 [[nodiscard]] Status ResurrectLocked(store::ObservationStore* store,
                                      const std::string& id, ServedSession* s,
                                      size_t* replayed)
     DBTUNE_REQUIRES(s->mu) {
-  if (s->optimizer != nullptr) return Status::OK();
+  SessionEngine& engine = s->engine;
+  if (engine.resident()) return Status::OK();
+  if (store == nullptr && engine.observed() > 0) {
+    return Status::FailedPrecondition(
+        "session '" + id + "' was evicted after " +
+        std::to_string(engine.observed()) +
+        " observations and no durable store can restore it");
+  }
   OptimizerOptions optimizer_options;
   optimizer_options.seed = s->options.seed;
   optimizer_options.initial_design = s->options.initial_design;
   optimizer_options.acquisition_candidates = s->options.acquisition_candidates;
-  std::unique_ptr<Optimizer> optimizer = CreateOptimizer(
-      s->options.optimizer_type, s->space, optimizer_options);
-  optimizer->SetReferenceScore(s->options.reference_score);
-
-  size_t restored = 0;
-  if (store != nullptr) {
-    DBTUNE_RETURN_IF_ERROR(store->BeginSession(id, s->space.dimension()));
-    const store::StoredSession* stored = store->FindSession(id);
-    if (stored != nullptr) {
-      for (const Observation& recorded : stored->observations) {
-        const Configuration suggested = optimizer->Suggest();
-        if (!(s->space.Clip(suggested) == recorded.config)) {
-          return Status::Internal(
-              "stored history for session '" + id +
-              "' diverged at iteration " + std::to_string(restored + 1) +
-              "; it was recorded under a different optimizer, seed, or "
-              "space");
-        }
-        optimizer->ObserveWithMetrics(recorded.config, recorded.score,
-                                      recorded.internal_metrics);
-        ++restored;
-      }
-    }
+  engine.Start(CreateOptimizer(s->options.optimizer_type, s->space,
+                               optimizer_options),
+               s->options.reference_score);
+  Status resumed =
+      store == nullptr ? Status::OK() : engine.BindStore(store, id);
+  if (resumed.ok()) resumed = engine.ReplayStored();
+  if (!resumed.ok()) {
+    engine.Evict();
+    return resumed;
   }
-  if (restored < s->observed) {
-    return Status::FailedPrecondition(
-        "session '" + id + "' was evicted after " +
-        std::to_string(s->observed) +
-        " observations and no durable store can restore it");
-  }
-  // A suggestion outstanding at eviction time: re-advance the optimizer
-  // past it. Suggest is deterministic, so this re-derives exactly the
-  // configuration the client already holds.
-  if (s->suggestion_outstanding) {
-    // Optimizer::Suggest returns the Configuration the client already
-    // holds, not a Status; the analyzer cannot resolve the overload.
-    (void)optimizer->Suggest();  // dbtune-lint: allow(ignored-status)
-  }
-  s->observed = restored;
-  s->optimizer = std::move(optimizer);
-  if (replayed != nullptr) *replayed = restored;
+  if (replayed != nullptr) *replayed = engine.replayed();
   return Status::OK();
 }
 
@@ -117,6 +89,15 @@ ServedSession* SessionManager::FindSessionLocked(const std::string& id)
   return it->second.get();
 }
 
+Result<ServedSession*> SessionManager::FindSession(const std::string& id) {
+  MutexLock lock(&mu_);
+  ServedSession* session = FindSessionLocked(id);
+  if (session == nullptr) {
+    return Status::NotFound("unknown session '" + id + "'");
+  }
+  return session;
+}
+
 Status SessionManager::CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed) {
@@ -129,28 +110,9 @@ Status SessionManager::CreateSession(const std::string& id,
       return Status::NotFound("unknown configuration space '" +
                               options.space_name + "'");
     }
-    ServedSession* existing = FindSessionLocked(id);
-    if (existing != nullptr) {
-      MutexLock session_lock(&existing->mu);
-      if (existing->closed) {
-        return Status::FailedPrecondition("session '" + id + "' is closed");
-      }
-      if (existing->optimizer != nullptr) {
-        return Status::FailedPrecondition("session '" + id +
-                                          "' already exists");
-      }
-      // Evicted: adopt the (re)creation parameters and resurrect below.
-      // Divergent parameters surface as a replay mismatch, not silence.
-      existing->options = options;
-      existing->space = space_it->second;
-      session = existing;
-    } else {
+    session = FindSessionLocked(id);
+    if (session == nullptr) {
       auto created = std::make_unique<ServedSession>();
-      {
-        MutexLock session_lock(&created->mu);
-        created->options = options;
-        created->space = space_it->second;
-      }
       created->last_touch_seconds = obs::MonotonicSeconds();
       session = created.get();
       sessions_.emplace(id, std::move(created));
@@ -159,6 +121,19 @@ Status SessionManager::CreateSession(const std::string& id,
         ActiveGauge().Set(static_cast<double>(open_sessions_));
       }
     }
+    MutexLock session_lock(&session->mu);
+    if (session->closed) {
+      return Status::FailedPrecondition("session '" + id + "' is closed");
+    }
+    if (session->engine.resident()) {
+      return Status::FailedPrecondition("session '" + id +
+                                        "' already exists");
+    }
+    // New or evicted: adopt the (re)creation parameters and resurrect
+    // below. Divergent parameters truncate the stored history at the
+    // first mismatch and the session continues live from the kept prefix.
+    session->options = options;
+    session->space = space_it->second;
   }
   MutexLock session_lock(&session->mu);
   return ResurrectLocked(options_.store, id, session, replayed);
@@ -168,75 +143,28 @@ Result<Configuration> SessionManager::Suggest(const std::string& id) {
   static obs::Histogram& latency_hist =
       obs::MetricsRegistry::Get().histogram("serve.suggest.latency");
   obs::ScopedLatency latency(&latency_hist);
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   MutexLock session_lock(&session->mu);
   if (session->closed) {
     return Status::FailedPrecondition("session '" + id + "' is closed");
   }
   DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session, nullptr));
-  if (session->suggestion_outstanding) {
-    return Status::FailedPrecondition(
-        "session '" + id + "' has an unobserved suggestion outstanding");
-  }
-  Configuration config = session->optimizer->Suggest();
-  session->suggestion_outstanding = true;
-  return config;
+  return session->engine.Suggest();
 }
 
 Status SessionManager::Observe(const std::string& id,
                                const Observation& observation) {
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   MutexLock session_lock(&session->mu);
   if (session->closed) {
     return Status::FailedPrecondition("session '" + id + "' is closed");
   }
   DBTUNE_RETURN_IF_ERROR(ResurrectLocked(options_.store, id, session, nullptr));
-  if (!session->suggestion_outstanding) {
-    return Status::FailedPrecondition(
-        "session '" + id + "' has no outstanding suggestion to observe");
-  }
-  if (observation.config.size() != session->space.dimension()) {
-    return Status::InvalidArgument(
-        "observation dimension " + std::to_string(observation.config.size()) +
-        " does not match session space dimension " +
-        std::to_string(session->space.dimension()));
-  }
-  // Durable append before the optimizer learns, mirroring the standalone
-  // loop: a crash between the two re-learns from the WAL on resume.
-  if (options_.store != nullptr) {
-    DBTUNE_RETURN_IF_ERROR(options_.store->AppendObservation(
-        id, session->observed + 1, observation));
-  }
-  session->optimizer->ObserveWithMetrics(
-      observation.config, observation.score, observation.internal_metrics);
-  ++session->observed;
-  session->suggestion_outstanding = false;
-  return Status::OK();
+  return session->engine.Observe(observation);
 }
 
 Status SessionManager::CloseSession(const std::string& id) {
-  ServedSession* session = nullptr;
-  {
-    MutexLock lock(&mu_);
-    session = FindSessionLocked(id);
-  }
-  if (session == nullptr) {
-    return Status::NotFound("unknown session '" + id + "'");
-  }
+  DBTUNE_ASSIGN_OR_RETURN(ServedSession* const session, FindSession(id));
   {
     MutexLock session_lock(&session->mu);
     if (session->closed) {
@@ -245,11 +173,11 @@ Status SessionManager::CloseSession(const std::string& id) {
     }
     // Seal non-empty trajectories as a transfer base task named after
     // the session; empty sessions just close (no useless empty task).
-    if (options_.store != nullptr && session->observed > 0) {
+    if (options_.store != nullptr && session->engine.observed() > 0) {
       DBTUNE_RETURN_IF_ERROR(
           options_.store->FinishSession(id, session->space, id));
     }
-    session->optimizer.reset();
+    session->engine.Evict();
     session->closed = true;
   }
   MutexLock lock(&mu_);
@@ -273,8 +201,8 @@ size_t SessionManager::EvictIdle(double idle_timeout_seconds) {
     ServedSession* session = entry.second.get();
     if (now - session->last_touch_seconds < idle_timeout_seconds) continue;
     MutexLock session_lock(&session->mu);
-    if (session->closed || session->optimizer == nullptr) continue;
-    session->optimizer.reset();
+    if (session->closed || !session->engine.resident()) continue;
+    session->engine.Evict();
     ++evicted;
   }
   return evicted;
@@ -291,7 +219,7 @@ size_t SessionManager::num_resident() const {
   for (const auto& entry : sessions_) {
     ServedSession* session = entry.second.get();
     MutexLock session_lock(&session->mu);
-    if (!session->closed && session->optimizer != nullptr) ++resident;
+    if (!session->closed && session->engine.resident()) ++resident;
   }
   return resident;
 }

@@ -22,9 +22,9 @@ namespace dbtune::serve {
 /// Creation parameters of one served tuning session. The client measures
 /// its DBMS default configuration itself and ships the score as
 /// `reference_score` — the server never evaluates, it only suggests and
-/// learns, exactly mirroring the optimizer-side calls of
-/// `RunTuningSession` (SetReferenceScore, Suggest, ObserveWithMetrics)
-/// so a served trajectory is bitwise identical to the standalone loop.
+/// learns. Served sessions and `RunTuningSession` drive the same
+/// SessionEngine, so a served trajectory is bitwise identical to the
+/// standalone loop.
 struct ServedSessionOptions {
   /// Name of a configuration space registered with the manager.
   std::string space_name;
@@ -43,8 +43,8 @@ struct SessionManagerOptions {
   double idle_timeout_seconds = 0.0;
   /// Borrowed durable store. When set, every observation is WAL-appended
   /// under the session id, evicted sessions resume bit-identically by
-  /// replaying their stored history (the PR 9 replay path), and closing
-  /// a session seals it as a transfer base task. The caller keeps
+  /// replaying their stored history through the session engine, and
+  /// closing a session seals it as a transfer base task. The caller keeps
   /// ownership and must outlive the manager.
   store::ObservationStore* store = nullptr;
 };
@@ -81,10 +81,11 @@ class SessionManager {
   /// Opens a session. A new id starts fresh; an id with history in the
   /// durable store (evicted here, or recorded by a previous process)
   /// resumes by replaying that history into a fresh optimizer —
-  /// `*replayed` reports how many observations were consumed. Errors:
-  /// NotFound (unknown space), FailedPrecondition (id is live or
-  /// closed), Internal (stored history diverges from the re-suggested
-  /// trajectory, i.e. it was recorded under different code or seed).
+  /// `*replayed` reports how many observations were consumed. History
+  /// recorded under different code, seed or options is truncated at the
+  /// first diverging iteration and the session continues live from the
+  /// kept prefix (`*replayed` counts the prefix). Errors: NotFound
+  /// (unknown space), FailedPrecondition (id is live or closed).
   [[nodiscard]] Status CreateSession(const std::string& id,
                                      const ServedSessionOptions& options,
                                      size_t* replayed = nullptr);
@@ -122,6 +123,8 @@ class SessionManager {
  private:
   ServedSession* FindSessionLocked(const std::string& id)
       DBTUNE_REQUIRES(mu_);
+  /// The session `id` (touched for eviction), or NotFound.
+  Result<ServedSession*> FindSession(const std::string& id);
 
   const SessionManagerOptions options_;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -303,6 +304,19 @@ TEST(ServeLifecycleTest, SuggestObserveAlternationIsEnforced) {
   wrong.config = Configuration(std::vector<double>{1.0});
   EXPECT_EQ(manager.Observe("a", wrong).code(),
             StatusCode::kInvalidArgument);
+  // Non-finite outcomes are InvalidArgument too, rejected before the WAL
+  // append: one NaN would poison a GP surrogate for good.
+  Observation nan_score;
+  nan_score.config = *first;
+  nan_score.score = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(manager.Observe("a", nan_score).code(),
+            StatusCode::kInvalidArgument);
+  Observation inf_config;
+  inf_config.config = *first;
+  inf_config.config[0] = std::numeric_limits<double>::infinity();
+  inf_config.score = 1.0;
+  EXPECT_EQ(manager.Observe("a", inf_config).code(),
+            StatusCode::kInvalidArgument);
   Observation ok_obs;
   ok_obs.config = *first;
   ok_obs.score = 1.0;
@@ -459,6 +473,93 @@ TEST(ServeStoreTest, EvictedThenRecreatedSessionReplaysFromStore) {
                   .ok());
   EXPECT_EQ(replayed, iterations);
   obs::DisableFakeClockForTest();
+}
+
+// Records `iterations` rounds of `spec` with the standalone loop into
+// `store`, under the session id `spec.id`.
+void RecordStandalone(const SessionSpec& spec, size_t iterations,
+                      ObservationStore* store) {
+  ClientSession client = MakeClient(spec);
+  OptimizerOptions options;
+  options.seed = spec.optimizer_seed;
+  std::unique_ptr<Optimizer> optimizer =
+      CreateOptimizer(spec.optimizer, client.env->space(), options);
+  SessionControls controls;
+  controls.store = store;
+  controls.store_session_id = spec.id;
+  RunTuningSession(client.env.get(), optimizer.get(), iterations, controls);
+}
+
+TEST(ServeStoreTest, StandaloneRecordedSessionResumesServed) {
+  const std::string path = ServeStorePath("cross_path");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  ObservationStore* store = opened.value().get();
+
+  const SessionSpec spec{"crossover", OptimizerType::kSmac, 71,
+                         WorkloadId::kSysbench, 81};
+  const size_t recorded = 6;
+  RecordStandalone(spec, recorded, store);
+  const std::vector<Observation> standalone =
+      StandaloneHistory(spec, recorded + 1);
+
+  SessionManagerOptions manager_options;
+  manager_options.store = store;
+  SessionManager manager(manager_options);
+  ClientSession client = MakeClient(spec);
+  manager.RegisterSpace("small", client.env->space());
+  size_t replayed = 0;
+  ASSERT_TRUE(manager
+                  .CreateSession(spec.id, ToServedOptions(spec, client),
+                                 &replayed)
+                  .ok());
+  EXPECT_EQ(replayed, recorded);
+  Result<Configuration> next = manager.Suggest(spec.id);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(client.env->space().Clip(*next) == standalone[recorded].config);
+}
+
+TEST(ServeStoreTest, DivergentStoredHistoryIsTruncatedAndServingContinues) {
+  const std::string path = ServeStorePath("diverge");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  ObservationStore* store = opened.value().get();
+
+  // Record under one seed, then recreate the id under another: the
+  // stored history no longer matches what the optimizer re-suggests.
+  const SessionSpec recorded_spec{"drift", OptimizerType::kSmac, 91,
+                                  WorkloadId::kSysbench, 93};
+  SessionSpec spec = recorded_spec;
+  spec.optimizer_seed = 92;
+  const size_t recorded = 6;
+  RecordStandalone(recorded_spec, recorded, store);
+  const std::vector<Observation> fresh = StandaloneHistory(spec, 9);
+
+  SessionManagerOptions manager_options;
+  manager_options.store = store;
+  SessionManager manager(manager_options);
+  ClientSession client = MakeClient(spec);
+  manager.RegisterSpace("small", client.env->space());
+  size_t replayed = recorded;
+  ASSERT_TRUE(manager
+                  .CreateSession(spec.id, ToServedOptions(spec, client),
+                                 &replayed)
+                  .ok());
+  EXPECT_LT(replayed, recorded);
+  ASSERT_NE(store->FindSession(spec.id), nullptr);
+  EXPECT_EQ(store->FindSession(spec.id)->observations.size(), replayed);
+
+  // The session keeps serving, on the trajectory of a fresh run of the
+  // new seed; the fresh run's outcomes stand in for the client's.
+  for (size_t i = replayed; i < fresh.size(); ++i) {
+    Result<Configuration> suggested = manager.Suggest(spec.id);
+    ASSERT_TRUE(suggested.ok()) << suggested.status().ToString();
+    EXPECT_TRUE(client.env->space().Clip(*suggested) == fresh[i].config)
+        << "iteration " << (i + 1);
+    ASSERT_TRUE(manager.Observe(spec.id, fresh[i]).ok());
+  }
+  ExpectBitwiseEqual(fresh, store->FindSession(spec.id)->observations,
+                     "truncated-then-live store");
 }
 
 TEST(ServeStoreTest, CloseSealsTrajectoryAsTransferTask) {

@@ -668,6 +668,39 @@ TEST_F(StoreTest, ReplayDivergenceTruncatesAndContinuesLive) {
   EXPECT_EQ(session->observations.size(), kIterations);
 }
 
+TEST_F(StoreTest, SessionsOnAReusedEnvironmentPersistEveryObservation) {
+  // Two sessions back to back on one environment: the second starts with
+  // a non-empty environment history, yet its WAL indices count its own
+  // observations from 1.
+  constexpr size_t kIterations = 4;
+  const std::string path = StorePath("reused_env");
+  {
+    auto opened = ObservationStore::Open(path);
+    ASSERT_TRUE(opened.ok());
+    DbmsSimulator sim(SmallTestCatalog(), WorkloadId::kSysbench,
+                      HardwareInstance::kB, 5);
+    TuningEnvironment env(&sim, FirstKnobs(sim.space().dimension()));
+    for (const std::string id : {"s0", "s1"}) {
+      OptimizerOptions options;
+      options.seed = 3;
+      std::unique_ptr<Optimizer> optimizer =
+          CreateOptimizer(OptimizerType::kRandomSearch, env.space(), options);
+      SessionControls controls;
+      controls.store = opened->get();
+      controls.store_session_id = id;
+      RunTuningSession(&env, optimizer.get(), kIterations, controls);
+    }
+    EXPECT_EQ(env.iterations(), 2 * kIterations);
+  }
+  auto reopened = ObservationStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  for (const std::string id : {"s0", "s1"}) {
+    const StoredSession* session = (*reopened)->FindSession(id);
+    ASSERT_NE(session, nullptr) << id;
+    EXPECT_EQ(session->observations.size(), kIterations) << id;
+  }
+}
+
 TEST_F(StoreTest, AdvisorPersistsBaseTaskAcrossRuns) {
   const std::string path = StorePath("advisor");
   DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 31);
