@@ -111,13 +111,18 @@ Status SessionEngine::Observe(const Observation& observation,
   if (!issued_) {
     return Status::FailedPrecondition("no outstanding suggestion to observe");
   }
-  // A non-finite score poisons a GP surrogate for good, and the WAL
-  // would replay it into every resurrection.
-  const std::vector<double>& values = observation.config.values();
-  if (values.size() != optimizer_->space().dimension() ||
+  // A non-finite score poisons a GP surrogate for good, a non-finite
+  // metric poisons DDPG's state, and the WAL would replay either into
+  // every resurrection.
+  const auto finite = [](const std::vector<double>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](double x) { return std::isfinite(x); });
+  };
+  if (observation.config.size() != optimizer_->space().dimension() ||
       !std::isfinite(observation.score) ||
-      !std::all_of(values.begin(), values.end(),
-                   [](double v) { return std::isfinite(v); })) {
+      !std::isfinite(observation.objective) ||
+      !finite(observation.config.values()) ||
+      !finite(observation.internal_metrics)) {
     return Status::InvalidArgument(
         "observation must be finite and match the session space dimension " +
         std::to_string(optimizer_->space().dimension()));

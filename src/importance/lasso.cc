@@ -65,16 +65,9 @@ Result<std::vector<double>> LassoImportance::Rank(
               ? va
               : va * input.unit_x[i][static_cast<size_t>(terms[t].b)];
     }
-    const double mean = Mean(columns[t]);
-    double sd = StdDev(columns[t]);
-    if (sd < 1e-12) sd = 1.0;
-    for (double& v : columns[t]) v = (v - mean) / sd;
+    columns[t] = StandardizeScores(columns[t]);
   }
-  std::vector<double> y(n);
-  const double y_mean = Mean(input.scores);
-  double y_sd = StdDev(input.scores);
-  if (y_sd < 1e-12) y_sd = 1.0;
-  for (size_t i = 0; i < n; ++i) y[i] = (input.scores[i] - y_mean) / y_sd;
+  const std::vector<double> y = StandardizeScores(input.scores);
 
   // --- Coordinate descent. With standardized columns, each column's
   // squared norm is n.

@@ -98,6 +98,14 @@ std::vector<size_t> ConfigurationSpace::CategoricalIndices() const {
   return out;
 }
 
+std::vector<bool> ConfigurationSpace::CategoricalMask() const {
+  std::vector<bool> mask(knobs_.size());
+  for (size_t i = 0; i < knobs_.size(); ++i) {
+    mask[i] = knobs_[i].is_categorical();
+  }
+  return mask;
+}
+
 std::vector<size_t> ConfigurationSpace::NumericIndices() const {
   std::vector<size_t> out;
   for (size_t i = 0; i < knobs_.size(); ++i) {

@@ -57,6 +57,8 @@ class ConfigurationSpace {
   std::vector<size_t> CategoricalIndices() const;
   /// Indices of all non-categorical knobs.
   std::vector<size_t> NumericIndices() const;
+  /// Per-dimension categorical flags (the mixed kernel's Hamming mask).
+  std::vector<bool> CategoricalMask() const;
 
   /// The subspace spanned by `indices` (in the given order).
   ConfigurationSpace Project(const std::vector<size_t>& indices) const;

@@ -16,6 +16,7 @@
 #include "sampling/latin_hypercube.h"
 #include "util/logging.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace dbtune {
 
@@ -88,22 +89,43 @@ Configuration Optimizer::NextInit() {
   return init_queue_[init_cursor_++];
 }
 
-std::vector<double> Optimizer::StandardizedScores() const {
-  std::vector<double> out = scores_;
-  const double mean = Mean(out);
-  double sd = StdDev(out);
-  if (sd < 1e-12) sd = 1.0;
-  for (double& v : out) v = (v - mean) / sd;
-  return out;
+size_t Optimizer::ScoreCandidates(const FeatureMatrix& candidates,
+                                  double best_z, const BatchPredict& predict,
+                                  std::vector<double>* ei) {
+  DBTUNE_CHECK(!candidates.empty());
+  FeatureMatrix snapped(candidates.size());
+  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
+              [&](size_t begin, size_t end) {
+                for (size_t c = begin; c < end; ++c) {
+                  snapped[c] = space_.SnapUnit(candidates[c]);
+                }
+              });
+  std::vector<double> means, variances;
+  predict(snapped, &means, &variances);
+  std::vector<double> values(candidates.size());
+  size_t best = 0;
+  double best_ei = -1.0;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    values[c] = ExpectedImprovement(means[c], variances[c], best_z);
+    if (values[c] > best_ei) {
+      best_ei = values[c];
+      best = c;
+    }
+  }
+  RecordPrediction(means[best], variances[best]);
+  suggest_info_.has_acquisition = true;
+  suggest_info_.acquisition_best = best_ei;
+  suggest_info_.acquisition_spread = PopulationStdDev(values);
+  suggest_info_.acquisition_pool = candidates.size();
+  if (ei != nullptr) *ei = std::move(values);
+  return best;
 }
 
-Optimizer::ScoreMoments Optimizer::CurrentScoreMoments() const {
-  ScoreMoments moments;
-  if (scores_.empty()) return moments;
-  moments.mean = Mean(scores_);
-  moments.sd = StdDev(scores_);
-  if (moments.sd < 1e-12) moments.sd = 1.0;
-  return moments;
+void Optimizer::RecordPrediction(double mean_z, double variance_z) {
+  const ScoreMoments moments = ComputeScoreMoments(scores_);
+  suggest_info_.has_prediction = true;
+  suggest_info_.predicted_mean = moments.mean + moments.sd * mean_z;
+  suggest_info_.predicted_variance = moments.sd * moments.sd * variance_z;
 }
 
 double ExpectedImprovement(double mean, double variance, double best) {

@@ -1,6 +1,7 @@
 #ifndef DBTUNE_OPTIMIZER_OPTIMIZER_H_
 #define DBTUNE_OPTIMIZER_OPTIMIZER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,17 +112,29 @@ class Optimizer {
   /// Next LHS warm-start configuration (lazily generates the design).
   Configuration NextInit();
 
-  /// Standardized copy of `scores_` (mean 0, stddev 1).
-  std::vector<double> StandardizedScores() const;
+  /// Batched surrogate query in standardized score space: fills one
+  /// predictive mean and variance per row of `xs`.
+  using BatchPredict =
+      std::function<void(const FeatureMatrix& xs, std::vector<double>* means,
+                         std::vector<double>* variances)>;
 
-  /// The standardization applied by `StandardizedScores` (identical
-  /// guard: stddev < 1e-12 → 1). Used to map z-space surrogate
-  /// predictions back to raw score units for `SuggestInfo`.
-  struct ScoreMoments {
-    double mean = 0.0;
-    double sd = 1.0;
-  };
-  ScoreMoments CurrentScoreMoments() const;
+  /// The Expected-Improvement scoring step shared by GP-BO, SMAC, RGPE
+  /// and workload mapping; each keeps only its candidate generator.
+  /// Snaps every unit-space candidate to the feasible point it decodes
+  /// to (the surrogate judges what will actually be evaluated), scores
+  /// the snapped pool with one `predict` call, and takes EI against the
+  /// standardized incumbent `best_z`. The sequential reduction resolves
+  /// ties to the lowest index at any pool size. Fills `suggest_info_`:
+  /// the winner's prediction de-standardized with the score moments, its
+  /// EI, and the population stddev of EI over the pool. Returns the
+  /// winner's index; `ei`, when given, receives every candidate's EI.
+  size_t ScoreCandidates(const FeatureMatrix& candidates, double best_z,
+                         const BatchPredict& predict,
+                         std::vector<double>* ei = nullptr);
+
+  /// Records a standardized-space prediction at the suggested point in
+  /// `suggest_info_`, mapped back to raw score units.
+  void RecordPrediction(double mean_z, double variance_z);
 
   ConfigurationSpace space_;
   OptimizerOptions options_;

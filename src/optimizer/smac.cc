@@ -7,7 +7,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace dbtune {
 
@@ -60,7 +59,7 @@ Configuration SmacOptimizer::Suggest() {
     return space_.SampleUniform(rng_);
   }
 
-  const std::vector<double> z = StandardizedScores();
+  const std::vector<double> z = StandardizeScores(scores_);
   Status fit = forest_.Fit(unit_history_, z);
   if (!fit.ok()) return space_.SampleUniform(rng_);
   const double best = *std::max_element(z.begin(), z.end());
@@ -97,23 +96,17 @@ Configuration SmacOptimizer::Suggest() {
     return ExpectedImprovement(mean, var, best);
   };
 
-  // The candidate pool is scored through the batched predict path
-  // (parallel, independent forest queries); the hill climb below stays
-  // sequential because each probe depends on the previous accept/reject
-  // decision and the shared RNG.
-  std::vector<std::vector<double>> snapped(candidates.size());
-  ParallelFor(GlobalPool(), 0, candidates.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t c = begin; c < end; ++c) {
-                  snapped[c] = space_.SnapUnit(candidates[c]);
-                }
-              });
-  std::vector<double> means, variances;
-  forest_.PredictMeanVarBatch(snapped, &means, &variances);
-  std::vector<double> ei(candidates.size());
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    ei[c] = ExpectedImprovement(means[c], variances[c], best);
-  }
+  // The candidate pool is scored through the shared step (parallel,
+  // independent forest queries), which also records the EI spread over
+  // the pool; the hill climb below stays sequential because each probe
+  // depends on the previous accept/reject decision and the shared RNG.
+  std::vector<double> ei;
+  ScoreCandidates(
+      candidates, best,
+      [&](const auto& xs, auto* means, auto* vars) {
+        forest_.PredictMeanVarBatch(xs, means, vars);
+      },
+      &ei);
 
   // Hill-climb from the most promising candidates (SMAC's local search):
   // fine-grained neighbours around the top EI points.
@@ -148,27 +141,12 @@ Configuration SmacOptimizer::Suggest() {
   }
 
   // One deterministic posterior query at the winner (it may have moved
-  // during the hill climb), de-standardized to raw score units.
+  // during the hill climb) replaces the pool winner's prediction.
   double win_mean = 0.0;
   double win_var = 0.0;
   forest_.PredictMeanVar(space_.SnapUnit(best_unit), &win_mean, &win_var);
-  const ScoreMoments moments = CurrentScoreMoments();
-  suggest_info_.has_prediction = true;
-  suggest_info_.predicted_mean = moments.mean + moments.sd * win_mean;
-  suggest_info_.predicted_variance = moments.sd * moments.sd * win_var;
-  suggest_info_.has_acquisition = true;
+  RecordPrediction(win_mean, win_var);
   suggest_info_.acquisition_best = best_ei;
-  double ei_sum = 0.0;
-  double ei_sumsq = 0.0;
-  for (double v : ei) {
-    ei_sum += v;
-    ei_sumsq += v * v;
-  }
-  const double pool = static_cast<double>(ei.size());
-  const double ei_mean = ei_sum / pool;
-  suggest_info_.acquisition_spread =
-      std::sqrt(std::max(0.0, ei_sumsq / pool - ei_mean * ei_mean));
-  suggest_info_.acquisition_pool = ei.size();
   return space_.FromUnit(best_unit);
 }
 

@@ -148,13 +148,7 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
   factor_cached_ = false;  // re-established only by a successful fit
 
   x_ = x;
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  y_standardized_.resize(y.size());
-  for (size_t i = 0; i < y.size(); ++i) {
-    y_standardized_[i] = (y[i] - y_mean_) / y_scale_;
-  }
+  y_standardized_ = StandardizeScores(y, &y_moments_);
 
   // A shrunk or wholesale-replaced training set invalidates the cached
   // hyper-parameters along with the factor (e.g. a TuRBO restart must
@@ -265,8 +259,8 @@ void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
   double var = kernel_->Compute(x, x) - Dot(v, v);
   if (var < 1e-12) var = 1e-12;
 
-  *mean = mu * y_scale_ + y_mean_;
-  *variance = var * y_scale_ * y_scale_;
+  *mean = mu * y_moments_.sd + y_moments_.mean;
+  *variance = var * y_moments_.sd * y_moments_.sd;
 }
 
 void GaussianProcess::PredictMeanVarBatch(
@@ -330,8 +324,8 @@ void GaussianProcess::PredictMeanVarBatch(
             const std::vector<double>& xq = xs[b + r];
             double var = kernel_->Compute(xq, xq) - vv[r];
             if (var < 1e-12) var = 1e-12;
-            (*means)[b + r] = mu[r] * y_scale_ + y_mean_;
-            (*variances)[b + r] = var * y_scale_ * y_scale_;
+            (*means)[b + r] = mu[r] * y_moments_.sd + y_moments_.mean;
+            (*variances)[b + r] = var * y_moments_.sd * y_moments_.sd;
           }
         }
       });

@@ -7,6 +7,7 @@
 #include "surrogate/kernels.h"
 #include "surrogate/regressor.h"
 #include "util/matrix.h"
+#include "util/stats.h"
 
 namespace dbtune {
 
@@ -91,8 +92,7 @@ class GaussianProcess final : public Regressor {
 
   FeatureMatrix x_;
   std::vector<double> y_standardized_;
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
+  ScoreMoments y_moments_;
 
   Matrix chol_;                 // lower Cholesky factor of K + noise I
   std::vector<double> alpha_;   // (K + noise I)^-1 y

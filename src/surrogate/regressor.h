@@ -41,8 +41,8 @@ class Regressor {
   /// slot, so results are bit-identical to the scalar loop at any pool
   /// size); models with a cheaper matrix-level path override it.
   /// Acquisition loops must use this entry point rather than calling the
-  /// scalar `PredictMeanVar` per candidate (enforced by dbtune-lint in
-  /// src/optimizer/).
+  /// scalar `PredictMeanVar` per candidate (enforced by the dbtune-lint
+  /// `predict-in-loop` rule in src/optimizer/ and src/transfer/).
   virtual void PredictMeanVarBatch(const FeatureMatrix& xs,
                                    std::vector<double>* means,
                                    std::vector<double>* variances) const;

@@ -245,11 +245,7 @@ Status SparseGaussianProcess::Fit(const FeatureMatrix& x,
   xm_.reserve(m);
   for (size_t id : inducing_indices_) xm_.push_back(x[id]);
 
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
-  std::vector<double> y_std(n);
-  for (size_t i = 0; i < n; ++i) y_std[i] = (y[i] - y_mean_) / y_scale_;
+  const std::vector<double> y_std = StandardizeScores(y, &y_moments_);
 
   // Every sparse fit is a full refit (the inducing set moves with the
   // history), so unlike the exact GP there is no append path and no
@@ -338,8 +334,8 @@ void SparseGaussianProcess::PredictMeanVar(const std::vector<double>& x,
   double var = kernel_->Compute(x, x) - Dot(v, v) + Dot(w, w);
   if (var < 1e-12) var = 1e-12;
 
-  *mean = mu * y_scale_ + y_mean_;
-  *variance = var * y_scale_ * y_scale_;
+  *mean = mu * y_moments_.sd + y_moments_.mean;
+  *variance = var * y_moments_.sd * y_moments_.sd;
 }
 
 void SparseGaussianProcess::PredictMeanVarBatch(
@@ -372,8 +368,8 @@ void SparseGaussianProcess::PredictMeanVarBatch(
                   double var =
                       kernel_->Compute(xs[q], xs[q]) - Dot(v, v) + Dot(w, w);
                   if (var < 1e-12) var = 1e-12;
-                  (*means)[q] = mu * y_scale_ + y_mean_;
-                  (*variances)[q] = var * y_scale_ * y_scale_;
+                  (*means)[q] = mu * y_moments_.sd + y_moments_.mean;
+                  (*variances)[q] = var * y_moments_.sd * y_moments_.sd;
                 }
               });
 }

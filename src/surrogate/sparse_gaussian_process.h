@@ -7,6 +7,7 @@
 #include "surrogate/kernels.h"
 #include "surrogate/regressor.h"
 #include "util/matrix.h"
+#include "util/stats.h"
 
 namespace dbtune {
 
@@ -112,8 +113,7 @@ class SparseGaussianProcess final : public Regressor {
   Matrix lm_;                   // chol(Kmm + jitter I)
   Matrix la_;                   // chol(A)
   std::vector<double> alpha_;   // predictive weights, standardized units
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
+  ScoreMoments y_moments_;
   double noise_ = 1e-4;
   double lml_ = 0.0;
   size_t fits_since_hyperopt_ = 0;

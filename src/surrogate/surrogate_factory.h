@@ -83,8 +83,8 @@ class TieredGpSurrogate final : public Regressor {
 
 /// The construction path every optimizer must use for GP surrogates
 /// (enforced by the dbtune-lint `gp-construction` rule in
-/// src/optimizer/): returns a tiered surrogate that escalates from the
-/// exact to the sparse GP per `tier_options`.
+/// src/optimizer/ and src/transfer/): returns a tiered surrogate that
+/// escalates from the exact to the sparse GP per `tier_options`.
 std::unique_ptr<Regressor> CreateGpSurrogate(
     KernelFactory kernel_factory, GaussianProcessOptions gp_options = {},
     SurrogateTierOptions tier_options = {});

@@ -46,9 +46,7 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
   }
 
   // Standardize targets so epsilon has a consistent meaning.
-  y_mean_ = Mean(y);
-  y_scale_ = StdDev(y);
-  if (y_scale_ < 1e-12) y_scale_ = 1.0;
+  const std::vector<double> targets = StandardizeScores(y, &y_moments_);
 
   // Precompute feature maps once.
   FeatureMatrix phi(n);
@@ -69,8 +67,7 @@ Status SupportVectorRegressor::Fit(const FeatureMatrix& x,
       const std::vector<double>& f = phi[i];
       double pred = bias_;
       for (size_t j = 0; j < d; ++j) pred += weights_[j] * f[j];
-      const double target = (y[i] - y_mean_) / y_scale_;
-      const double err = pred - target;
+      const double err = pred - targets[i];
       double g = 0.0;  // subgradient of epsilon-insensitive loss
       if (err > options_.epsilon) {
         g = 1.0;
@@ -102,7 +99,7 @@ double SupportVectorRegressor::Predict(const std::vector<double>& x) const {
   const std::vector<double> f = Features(x);
   double pred = bias_;
   for (size_t j = 0; j < f.size(); ++j) pred += weights_[j] * f[j];
-  return pred * y_scale_ + y_mean_;
+  return pred * y_moments_.sd + y_moments_.mean;
 }
 
 }  // namespace dbtune

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "surrogate/regressor.h"
+#include "util/stats.h"
 
 namespace dbtune {
 
@@ -46,8 +47,7 @@ class SupportVectorRegressor final : public Regressor {
   std::vector<double> fourier_b_;
   std::vector<double> weights_;
   double bias_ = 0.0;
-  double y_mean_ = 0.0;
-  double y_scale_ = 1.0;
+  ScoreMoments y_moments_;
   bool fitted_ = false;
 };
 

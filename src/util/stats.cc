@@ -32,6 +32,35 @@ double StdDev(const std::vector<double>& values) {
   return std::sqrt(Variance(values));
 }
 
+double PopulationStdDev(const std::vector<double>& values) {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (double v : values) {
+    sum += v;
+    sum_sq += v * v;
+  }
+  const double n = static_cast<double>(values.size());
+  const double mean = sum / n;
+  return std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
+}
+
+ScoreMoments ComputeScoreMoments(const std::vector<double>& scores) {
+  ScoreMoments moments;
+  moments.mean = Mean(scores);
+  moments.sd = StdDev(scores);
+  if (moments.sd < 1e-12) moments.sd = 1.0;
+  return moments;
+}
+
+std::vector<double> StandardizeScores(const std::vector<double>& scores,
+                                      ScoreMoments* moments) {
+  const ScoreMoments applied = ComputeScoreMoments(scores);
+  std::vector<double> out = scores;
+  for (double& v : out) v = (v - applied.mean) / applied.sd;
+  if (moments != nullptr) *moments = applied;
+  return out;
+}
+
 double Quantile(std::vector<double> values, double q) {
   DBTUNE_CHECK(!values.empty());
   DBTUNE_CHECK(q >= 0.0 && q <= 1.0);

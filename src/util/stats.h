@@ -15,6 +15,27 @@ double Variance(const std::vector<double>& values);
 /// Sample standard deviation (sqrt of `Variance`).
 double StdDev(const std::vector<double>& values);
 
+/// Population standard deviation by the one-pass sum / sum-of-squares
+/// formula, accumulated in input order: sqrt(max(0, Σv²/n − (Σv/n)²)).
+/// Reports the spread of acquisition values over a candidate pool.
+double PopulationStdDev(const std::vector<double>& values);
+
+/// The moments that standardize a task's scores: mean and sample stddev,
+/// with a stddev below 1e-12 (constant or single-score input) taken as 1.
+/// Empty input gives {0, 1}.
+struct ScoreMoments {
+  double mean = 0.0;
+  double sd = 1.0;
+};
+ScoreMoments ComputeScoreMoments(const std::vector<double>& scores);
+
+/// Values standardized by `ComputeScoreMoments` (mean 0, stddev 1);
+/// `moments`, when given, receives the moments applied. The optimizers
+/// and surrogates fit standardized scores, and the transfer frameworks
+/// compare tasks on relative, not absolute, performance.
+std::vector<double> StandardizeScores(const std::vector<double>& scores,
+                                      ScoreMoments* moments = nullptr);
+
 /// Linear-interpolated quantile, q in [0, 1]. Requires non-empty input.
 double Quantile(std::vector<double> values, double q);
 

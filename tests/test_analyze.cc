@@ -135,14 +135,18 @@ TEST(AnalyzeLegacyTest, RawTimingAllowedInObsAndBenchUtil) {
 }
 
 TEST(AnalyzeLegacyTest, PredictInLoopCheckFiresInOptimizerFiles) {
-  const auto findings =
-      AnalyzeFile(FixturePath("optimizer/bad_predict_loop.cc"),
-                  "optimizer/bad_predict_loop.cc");
-  // Braced for body, while body, braceless body; the out-of-loop call,
-  // the allow() line, and the batched call are exempt.
-  EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 3);
-  for (const Diagnostic& d : findings) {
-    EXPECT_EQ(d.check, "predict-in-loop") << FormatDiagnostic(d);
+  // The transfer optimizers (RGPE, workload mapping) run acquisition
+  // loops too, so the rule covers src/transfer as well.
+  for (const char* relpath :
+       {"optimizer/bad_predict_loop.cc", "transfer/bad_predict_loop.cc"}) {
+    const auto findings =
+        AnalyzeFile(FixturePath("optimizer/bad_predict_loop.cc"), relpath);
+    // Braced for body, while body, braceless body; the out-of-loop call,
+    // the allow() line, and the batched call are exempt.
+    EXPECT_EQ(CountCheck(findings, "predict-in-loop"), 3) << relpath;
+    for (const Diagnostic& d : findings) {
+      EXPECT_EQ(d.check, "predict-in-loop") << FormatDiagnostic(d);
+    }
   }
 }
 
@@ -174,14 +178,16 @@ TEST(AnalyzeLegacyTest, PredictInLoopTracksNestingAcrossLines) {
 }
 
 TEST(AnalyzeLegacyTest, GpConstructionCheckFiresInOptimizerFiles) {
-  const auto findings =
-      AnalyzeFile(FixturePath("optimizer/bad_gp_construction.cc"),
-                  "optimizer/bad_gp_construction.cc");
-  // Direct ctor, make_unique, and the sparse class; the options struct,
-  // the factory call, and the allow() line are exempt.
-  EXPECT_EQ(CountCheck(findings, "gp-construction"), 3);
-  for (const Diagnostic& d : findings) {
-    EXPECT_EQ(d.check, "gp-construction") << FormatDiagnostic(d);
+  for (const char* relpath : {"optimizer/bad_gp_construction.cc",
+                              "transfer/bad_gp_construction.cc"}) {
+    const auto findings =
+        AnalyzeFile(FixturePath("optimizer/bad_gp_construction.cc"), relpath);
+    // Direct ctor, make_unique, and the sparse class; the options struct,
+    // the factory call, and the allow() line are exempt.
+    EXPECT_EQ(CountCheck(findings, "gp-construction"), 3) << relpath;
+    for (const Diagnostic& d : findings) {
+      EXPECT_EQ(d.check, "gp-construction") << FormatDiagnostic(d);
+    }
   }
 }
 

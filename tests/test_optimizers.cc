@@ -2,13 +2,25 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "knobs/catalog.h"
 #include "optimizer/ddpg.h"
+#include "optimizer/gp_bo.h"
+#include "optimizer/mixed_kernel_bo.h"
+#include "optimizer/smac.h"
+#include "optimizer/tpe.h"
+#include "optimizer/turbo.h"
+#include "transfer/repository.h"
+#include "transfer/rgpe.h"
+#include "transfer/workload_mapping.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace dbtune {
 namespace {
@@ -248,6 +260,213 @@ TEST(TpeWeaknessTest, InteractionBlindness) {
     tpe_total += run(OptimizerType::kTpe, seed);
   }
   EXPECT_GE(smac_total, tpe_total - 0.10);
+}
+
+// --- Cross-commit trajectory digest. Every other determinism pin compares
+// two runs inside one build, so a change that reorders floating-point
+// operations in the acquisition step would pass all of them. The
+// constants pin trajectories and SuggestInfo bitwise across commits: a
+// refactor that keeps the arithmetic must keep them, and a change that
+// alters them on purpose says why. The space mixes continuous, integer
+// and categorical knobs so candidate snapping matters.
+
+// FNV-1a over the bit patterns of everything a Suggest produced.
+class Fnv1a {
+ public:
+  void Add(const void* data, size_t size) {
+    const unsigned char* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(&bits, sizeof(bits));
+  }
+  void Add(uint64_t value) { Add(&value, sizeof(value)); }
+  void Add(bool value) { Add(static_cast<uint64_t>(value ? 1 : 0)); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+ConfigurationSpace MakeMixedSpace() {
+  std::vector<Knob> knobs;
+  knobs.push_back(Knob::Continuous("ratio", 0.0, 1.0, 0.5));
+  knobs.push_back(Knob::Continuous("buffer_mb", 8.0, 4096.0, 128.0,
+                                   /*log_scale=*/true));
+  knobs.push_back(Knob::Integer("workers", 1, 16, 4));
+  knobs.push_back(Knob::Categorical("flush", {"off", "lazy", "eager"}, 0));
+  return ConfigurationSpace(std::move(knobs));
+}
+
+double MixedObjective(const Configuration& c) {
+  const double category_bonus[] = {0.0, 0.4, -0.2};
+  return -(c[0] - 0.3) * (c[0] - 0.3) - 0.1 * std::abs(std::log2(c[1]) - 9.0) -
+         0.05 * (c[2] - 11.0) * (c[2] - 11.0) / 16.0 +
+         category_bonus[static_cast<size_t>(c[3])];
+}
+
+std::vector<double> MixedMetrics(const Configuration& c) {
+  return {c[0], std::log2(c[1]) / 12.0, c[2] / 16.0};
+}
+
+ObservationRepository MakeMixedRepository(const ConfigurationSpace& space) {
+  ObservationRepository repo;
+  Rng rng(83);
+  SourceTask helpful, adversarial;
+  helpful.name = "helpful";
+  adversarial.name = "adversarial";
+  for (int i = 0; i < 30; ++i) {
+    const Configuration c = space.SampleUniform(rng);
+    const double score = MixedObjective(c);
+    helpful.unit_x.push_back(space.ToUnit(c));
+    helpful.scores.push_back(score);
+    adversarial.unit_x.push_back(space.ToUnit(c));
+    adversarial.scores.push_back(-score);
+  }
+  helpful.metric_signature = {0.3, 0.75, 0.7};
+  adversarial.metric_signature = {0.9, 0.1, 0.1};
+  repo.AddTask(helpful);
+  repo.AddTask(adversarial);
+  return repo;
+}
+
+// A model-free optimizer that exposes the shared EI scoring step.
+class ScoringStepProbe final : public Optimizer {
+ public:
+  using Optimizer::Optimizer;
+  using Optimizer::ScoreCandidates;
+  Configuration Suggest() override { return space_.Default(); }
+  std::string name() const override { return "probe"; }
+};
+
+TEST(ScoreCandidatesTest, SnapsTiesLowAndDestandardizes) {
+  const ConfigurationSpace space = MakeMixedSpace();
+  ScoringStepProbe probe(space, OptimizerOptions{});
+  Rng rng(97);
+  std::vector<double> scores = {2.0, 4.0, 9.0};
+  for (double score : scores) probe.Observe(space.SampleUniform(rng), score);
+  FeatureMatrix candidates;
+  for (int c = 0; c < 4; ++c) {
+    candidates.push_back({rng.Uniform(), rng.Uniform(), rng.Uniform(),
+                          rng.Uniform()});
+  }
+  // Candidates 1 and 2 tie on the posterior, so on EI.
+  const std::vector<double> pred_means = {0.5, 1.0, 1.0, -2.0};
+  const std::vector<double> pred_vars = {0.1, 0.2, 0.2, 0.1};
+  std::vector<double> ei;
+  const size_t winner = probe.ScoreCandidates(
+      candidates, /*best_z=*/0.8,
+      [&](const FeatureMatrix& xs, std::vector<double>* means,
+          std::vector<double>* variances) {
+        ASSERT_EQ(xs.size(), candidates.size());
+        for (size_t c = 0; c < xs.size(); ++c) {
+          EXPECT_EQ(xs[c], space.SnapUnit(candidates[c]));
+        }
+        *means = pred_means;
+        *variances = pred_vars;
+      },
+      &ei);
+  EXPECT_EQ(winner, 1u);
+  ASSERT_EQ(ei.size(), 4u);
+  EXPECT_EQ(ei[1], ei[2]);
+  EXPECT_EQ(ei[1], ExpectedImprovement(1.0, 0.2, 0.8));
+
+  const SuggestInfo& info = probe.last_suggest_info();
+  EXPECT_TRUE(info.has_acquisition);
+  EXPECT_EQ(info.acquisition_best, ei[1]);
+  EXPECT_EQ(info.acquisition_pool, 4u);
+  // Population (divide-by-n) stddev of the pool's EI values.
+  double mean = 0.0;
+  for (double v : ei) mean += v / 4.0;
+  double var = 0.0;
+  for (double v : ei) var += (v - mean) * (v - mean) / 4.0;
+  EXPECT_NEAR(info.acquisition_spread, std::sqrt(var), 1e-12);
+  // The winner's z-space posterior in raw score units.
+  const ScoreMoments moments = ComputeScoreMoments(scores);
+  EXPECT_DOUBLE_EQ(moments.mean, 5.0);
+  EXPECT_DOUBLE_EQ(moments.sd, std::sqrt(13.0));
+  EXPECT_TRUE(info.has_prediction);
+  EXPECT_DOUBLE_EQ(info.predicted_mean, moments.mean + moments.sd * 1.0);
+  EXPECT_DOUBLE_EQ(info.predicted_variance, 13.0 * 0.2);
+}
+
+uint64_t TrajectoryDigest(Optimizer* optimizer, size_t* model_suggestions) {
+  Fnv1a digest;
+  *model_suggestions = 0;
+  for (int i = 0; i < 20; ++i) {
+    const Configuration c = optimizer->Suggest();
+    for (double v : c.values()) digest.Add(v);
+    const SuggestInfo& info = optimizer->last_suggest_info();
+    digest.Add(info.has_prediction);
+    digest.Add(info.predicted_mean);
+    digest.Add(info.predicted_variance);
+    digest.Add(info.has_acquisition);
+    digest.Add(info.acquisition_best);
+    digest.Add(info.acquisition_spread);
+    digest.Add(static_cast<uint64_t>(info.acquisition_pool));
+    if (info.has_acquisition) ++*model_suggestions;
+    optimizer->ObserveWithMetrics(c, MixedObjective(c), MixedMetrics(c));
+  }
+  return digest.value();
+}
+
+TEST(TrajectoryDigestTest, SuggestionsAndInfoMatchRecordedDigests) {
+  const ConfigurationSpace space = MakeMixedSpace();
+  const ObservationRepository repo = MakeMixedRepository(space);
+  OptimizerOptions options;
+  options.seed = 89;
+  options.initial_design = 5;
+  options.acquisition_candidates = 96;
+  struct Case {
+    const char* name;
+    std::unique_ptr<Optimizer> optimizer;
+    uint64_t expected;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"vanilla_bo",
+                   std::make_unique<VanillaBoOptimizer>(space, options),
+                   0xdddce3fa531d9925ULL});
+  cases.push_back({"mixed_kernel_bo",
+                   std::make_unique<MixedKernelBoOptimizer>(space, options),
+                   0x798ac409789423c1ULL});
+  cases.push_back({"smac", std::make_unique<SmacOptimizer>(space, options),
+                   0x9bb758a2840ff832ULL});
+  cases.push_back({"turbo", std::make_unique<TurboOptimizer>(space, options),
+                   0x0f3c4cc4d084a6fbULL});
+  cases.push_back({"tpe", std::make_unique<TpeOptimizer>(space, options),
+                   0xa5e716b6c7fe286aULL});
+  cases.push_back({"rgpe_smac",
+                   std::make_unique<RgpeOptimizer>(space, options, &repo,
+                                                   TransferBase::kSmac),
+                   0x4b9a60c111e0c944ULL});
+  cases.push_back({"rgpe_mixed_kernel_bo",
+                   std::make_unique<RgpeOptimizer>(
+                       space, options, &repo, TransferBase::kMixedKernelBo),
+                   0x553dd8c618dc89b2ULL});
+  cases.push_back({"mapping_smac",
+                   std::make_unique<WorkloadMappingOptimizer>(
+                       space, options, &repo, TransferBase::kSmac),
+                   0x3b540cdbea37409fULL});
+  cases.push_back({"mapping_mixed_kernel_bo",
+                   std::make_unique<WorkloadMappingOptimizer>(
+                       space, options, &repo, TransferBase::kMixedKernelBo),
+                   0x075fcd2793515145ULL});
+  for (Case& c : cases) {
+    size_t model_suggestions = 0;
+    const uint64_t digest =
+        TrajectoryDigest(c.optimizer.get(), &model_suggestions);
+    // The digest only pins the acquisition step if the model ran.
+    EXPECT_GE(model_suggestions, 10u) << c.name;
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.expected) << c.name << " digest " << hex;
+  }
 }
 
 }  // namespace

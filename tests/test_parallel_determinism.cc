@@ -22,6 +22,7 @@
 #include "surrogate/surrogate_factory.h"
 #include "transfer/repository.h"
 #include "transfer/rgpe.h"
+#include "transfer/workload_mapping.h"
 #include "util/matrix.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -358,7 +359,7 @@ TEST(ParallelDeterminismTest, RgpeTrajectory) {
     return repo;
   };
 
-  auto run = [&](size_t pool_size) {
+  auto run = [&](size_t pool_size, TransferBase base) {
     PoolSizeGuard guard(pool_size);
     const ConfigurationSpace space = MakeContinuousSpace(4);
     const ObservationRepository repo = make_repository(space);
@@ -366,7 +367,7 @@ TEST(ParallelDeterminismTest, RgpeTrajectory) {
     options.seed = 47;
     options.initial_design = 5;
     options.acquisition_candidates = 80;
-    RgpeOptimizer rgpe(space, options, &repo, TransferBase::kSmac);
+    RgpeOptimizer rgpe(space, options, &repo, base);
     std::vector<double> trace;
     for (int i = 0; i < 15; ++i) {
       const Configuration c = rgpe.Suggest();
@@ -381,9 +382,65 @@ TEST(ParallelDeterminismTest, RgpeTrajectory) {
     return trace;
   };
 
-  const std::vector<double> pool1 = run(1);
-  EXPECT_EQ(pool1, run(2));
-  EXPECT_EQ(pool1, run(8));
+  for (TransferBase base :
+       {TransferBase::kSmac, TransferBase::kMixedKernelBo}) {
+    const std::vector<double> pool1 = run(1, base);
+    EXPECT_EQ(pool1, run(2, base)) << TransferBaseName(base);
+    EXPECT_EQ(pool1, run(8, base)) << TransferBaseName(base);
+  }
+}
+
+// Workload mapping refits its base surrogate on the mapped source task
+// plus the target history every iteration and scores the pool in one
+// batched pass; the trajectory must be bit-identical at any pool size.
+TEST(ParallelDeterminismTest, WorkloadMappingTrajectory) {
+  const auto make_repository = [](const ConfigurationSpace& space) {
+    ObservationRepository repo;
+    Rng rng(59);
+    for (int t = 0; t < 2; ++t) {
+      SourceTask task;
+      task.name = t == 0 ? "near" : "far";
+      for (int i = 0; i < 40; ++i) {
+        std::vector<double> u(space.dimension());
+        for (double& v : u) v = rng.Uniform();
+        task.unit_x.push_back(u);
+        task.scores.push_back(-(u[0] - 0.6) * (u[0] - 0.6) * (t + 1));
+      }
+      task.metric_signature.assign(3, static_cast<double>(t));
+      repo.AddTask(std::move(task));
+    }
+    return repo;
+  };
+
+  auto run = [&](size_t pool_size, TransferBase base) {
+    PoolSizeGuard guard(pool_size);
+    const ConfigurationSpace space = MakeContinuousSpace(4);
+    const ObservationRepository repo = make_repository(space);
+    OptimizerOptions options;
+    options.seed = 61;
+    options.initial_design = 5;
+    options.acquisition_candidates = 80;
+    WorkloadMappingOptimizer mapping(space, options, &repo, base);
+    std::vector<double> trace;
+    for (int i = 0; i < 15; ++i) {
+      const Configuration c = mapping.Suggest();
+      double score = 0.0;
+      for (size_t j = 0; j < c.size(); ++j) {
+        score -= (c[j] - 0.6) * (c[j] - 0.6);
+      }
+      mapping.ObserveWithMetrics(c, score, {c[0], c[1], c[2]});
+      for (size_t j = 0; j < c.size(); ++j) trace.push_back(c[j]);
+    }
+    trace.push_back(static_cast<double>(mapping.mapped_task()));
+    return trace;
+  };
+
+  for (TransferBase base :
+       {TransferBase::kSmac, TransferBase::kMixedKernelBo}) {
+    const std::vector<double> pool1 = run(1, base);
+    EXPECT_EQ(pool1, run(2, base)) << TransferBaseName(base);
+    EXPECT_EQ(pool1, run(8, base)) << TransferBaseName(base);
+  }
 }
 
 // Diagnostics are pure observers: turning the per-session collector on

@@ -317,6 +317,21 @@ TEST(ServeLifecycleTest, SuggestObserveAlternationIsEnforced) {
   inf_config.score = 1.0;
   EXPECT_EQ(manager.Observe("a", inf_config).code(),
             StatusCode::kInvalidArgument);
+  // The raw objective and the internal metrics are stored and replayed
+  // as well, and DDPG learns its state from the metrics.
+  Observation nan_objective;
+  nan_objective.config = *first;
+  nan_objective.score = 1.0;
+  nan_objective.objective = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(manager.Observe("a", nan_objective).code(),
+            StatusCode::kInvalidArgument);
+  Observation nan_metric;
+  nan_metric.config = *first;
+  nan_metric.score = 1.0;
+  nan_metric.internal_metrics = {0.5, 0.25, 1.0,
+                                 std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_EQ(manager.Observe("a", nan_metric).code(),
+            StatusCode::kInvalidArgument);
   Observation ok_obs;
   ok_obs.config = *first;
   ok_obs.score = 1.0;

@@ -31,6 +31,38 @@ TEST(StatsTest, TwoPointSampleVariance) {
   EXPECT_DOUBLE_EQ(StdDev({1.0, 3.0}), std::sqrt(2.0));
 }
 
+TEST(StatsTest, StandardizeScores) {
+  const std::vector<double> z = StandardizeScores({1.0, 2.0, 3.0});
+  EXPECT_NEAR(z[0] + z[1] + z[2], 0.0, 1e-12);
+  EXPECT_GT(z[2], z[1]);
+  // Constant input stays finite.
+  for (double v : StandardizeScores({5.0, 5.0})) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  // Regression: empty input used to divide 0/0 and return NaN-poisoned
+  // state downstream; it must simply produce an empty vector.
+  EXPECT_TRUE(StandardizeScores({}).empty());
+}
+
+TEST(StatsTest, ScoreMomentsGuardConstantInput) {
+  const ScoreMoments moments = ComputeScoreMoments({1.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(moments.mean, 2.0);
+  EXPECT_DOUBLE_EQ(moments.sd, 1.0);  // sample stddev of 1, 2, 3
+  const std::vector<double> z = StandardizeScores({1.0, 2.0, 3.0});
+  EXPECT_EQ(z, (std::vector<double>{-1.0, 0.0, 1.0}));
+  EXPECT_DOUBLE_EQ(ComputeScoreMoments({5.0, 5.0}).sd, 1.0);
+  EXPECT_DOUBLE_EQ(ComputeScoreMoments({}).mean, 0.0);
+  EXPECT_DOUBLE_EQ(ComputeScoreMoments({}).sd, 1.0);
+}
+
+TEST(StatsTest, PopulationStdDevDividesByN) {
+  // Deviations ±1 around 2: the population variance is 2 / 2 = 1.
+  EXPECT_DOUBLE_EQ(PopulationStdDev({1.0, 3.0}), 1.0);
+  EXPECT_DOUBLE_EQ(PopulationStdDev({4.0}), 0.0);
+  // The one-pass formula never goes negative under cancellation.
+  EXPECT_GE(PopulationStdDev({0.1, 0.1, 0.1}), 0.0);
+}
+
 TEST(StatsTest, QuantileInterpolates) {
   const std::vector<double> v = {10, 20, 30, 40};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 10.0);

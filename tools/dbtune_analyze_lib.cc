@@ -61,11 +61,12 @@ const std::vector<CheckInfo>& Registry() {
        "std::chrono clock read outside src/obs and bench_util.h",
        "measure time through obs/clock (MonotonicNanos/MonotonicSeconds)"},
       {"predict-in-loop", "warning",
-       "scalar PredictMeanVar inside a loop under src/optimizer",
+       "scalar PredictMeanVar inside a loop under src/optimizer or "
+       "src/transfer",
        "score candidate batches through PredictMeanVarBatch"},
       {"gp-construction", "warning",
        "direct GaussianProcess/SparseGaussianProcess use under "
-       "src/optimizer",
+       "src/optimizer or src/transfer",
        "obtain GP surrogates through surrogate_factory's CreateGpSurrogate "
        "so long histories escalate to the sparse tier"},
       {"metrics-export", "warning",
@@ -1389,7 +1390,10 @@ PathRules RulesFor(const std::string& relpath) {
   rules.random = !StartsWith(relpath, "util/random");
   rules.timing =
       !StartsWith(relpath, "obs/") && !EndsWith(relpath, "bench_util.h");
-  rules.optimizer = StartsWith(relpath, "optimizer/");
+  // The transfer optimizers (RGPE, workload mapping) are acquisition
+  // loops as well.
+  rules.optimizer =
+      StartsWith(relpath, "optimizer/") || StartsWith(relpath, "transfer/");
   rules.metrics_export = !StartsWith(relpath, "obs/");
   // Files whose writes ARE the durable state: the observation store's
   // WAL/snapshots, the obs trace/log/metrics files, dataset I/O, and the
