@@ -2,10 +2,12 @@
 // sparse-tier paths (PERF acceptance: >= 5x on non-hyperopt sequential
 // fits at n = 500, >= 2x on batched acquisition scoring, >= 10x on the
 // sparse fit at n = 10000 against the cubic-extrapolated exact fit).
+// Also times the hyper-parameter grid sweep at 1/2/4 threads.
 // Emits JSON lines to stdout and writes them to DBTUNE_BENCH_GP_REPORT
 // (default BENCH_GP.json in the working directory) for CI artifacts.
 // Every row records the effective thread-pool size (`threads`), which
-// honours DBTUNE_NUM_THREADS. Quick mode: DBTUNE_BENCH_SCALE below 0.3
+// honours DBTUNE_NUM_THREADS except on hyperopt_fit rows, and the host's
+// CPU count (`host_cpus`). Quick mode: DBTUNE_BENCH_SCALE below 0.3
 // shrinks sizes proportionally. DBTUNE_BENCH_SIZES (comma-separated n
 // list, taken literally) overrides the sparse_fit sizes, and
 // DBTUNE_BENCH_EXACT_MAX caps the largest directly-measured exact fit.
@@ -121,16 +123,71 @@ void BenchSequentialFits() {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"gp_scaling\",\"task\":\"sequential_fit\",\"n\":%zu,"
-        "\"appends\":%zu,\"threads\":%zu,\"incremental_fits\":%llu,"
-        "\"full_s\":%.6f,\"incremental_s\":%.6f,\"speedup\":%.2f,"
-        "\"identical\":%s}\n",
-        n, appends, ExecutionContext::Get().num_threads(),
+        "\"appends\":%zu,\"threads\":%zu,\"host_cpus\":%zu,"
+        "\"incremental_fits\":%llu,\"full_s\":%.6f,\"incremental_s\":%.6f,"
+        "\"speedup\":%.2f,\"identical\":%s}\n",
+        n, appends, ExecutionContext::Get().num_threads(), bench::HostCpus(),
         static_cast<unsigned long long>(inc_fits), full.seconds,
         incremental.seconds,
         incremental.seconds > 0.0 ? full.seconds / incremental.seconds : 0.0,
         incremental.final_lml == full.final_lml ? "true" : "false");
     Emit(line);
   }
+}
+
+// The hyper-parameter grid sweep (5 lengthscales x 3 noise values) of a
+// fresh exact fit at pool sizes 1/2/4, best of `kReps` each after
+// `kWarmup` untimed rounds. Repetitions cycle through the pool sizes so
+// drift in host speed hits all of them alike; the pool is built before
+// the clock starts. Speedup is against the threads=1 row, the best
+// single-thread baseline: at one thread the sweep's region runs inline
+// with no pool overhead. `identical` compares the installed LML, factor
+// and alpha bitwise against the threads=1 fit.
+void BenchHyperoptFit() {
+  constexpr int kWarmup = 2;
+  constexpr int kReps = 5;
+  const std::vector<size_t> pool_sizes = {1, 2, 4};
+  const size_t grid = GaussianProcessOptions().lengthscale_grid.size() *
+                      GaussianProcessOptions().noise_grid.size();
+  const size_t original = ExecutionContext::Get().num_threads();
+  for (size_t full_n : {250u, 500u}) {
+    const size_t n = Effective(full_n, 40);
+    const FeatureMatrix x = RandomInputs(n, 20, 401 + full_n);
+    const std::vector<double> y = SyntheticTargets(x);
+    std::vector<double> best_s(pool_sizes.size(), 0.0);
+    std::vector<std::vector<double>> fits(pool_sizes.size());
+    for (int rep = -kWarmup; rep < kReps; ++rep) {
+      for (size_t p = 0; p < pool_sizes.size(); ++p) {
+        ExecutionContext::Get().SetNumThreads(pool_sizes[p]);
+        GlobalPool();
+        GaussianProcess gp(std::make_unique<Matern52Kernel>());
+        const double start = obs::MonotonicSeconds();
+        if (!gp.Fit(x, y).ok()) {
+          std::fprintf(stderr, "hyperopt fit failed\n");
+          std::exit(1);
+        }
+        const double seconds = obs::MonotonicSeconds() - start;
+        if (rep < 0) continue;
+        if (rep == 0 || seconds < best_s[p]) best_s[p] = seconds;
+        fits[p] = gp.cholesky_factor().data();
+        fits[p].insert(fits[p].end(), gp.alpha().begin(), gp.alpha().end());
+        fits[p].push_back(gp.log_marginal_likelihood());
+      }
+    }
+    for (size_t p = 0; p < pool_sizes.size(); ++p) {
+      char line[512];
+      std::snprintf(
+          line, sizeof(line),
+          "{\"bench\":\"gp_scaling\",\"task\":\"hyperopt_fit\",\"n\":%zu,"
+          "\"grid\":%zu,\"threads\":%zu,\"host_cpus\":%zu,\"fit_s\":%.6f,"
+          "\"baseline_s\":%.6f,\"speedup\":%.2f,\"identical\":%s}\n",
+          n, grid, pool_sizes[p], bench::HostCpus(), best_s[p], best_s[0],
+          best_s[p] > 0.0 ? best_s[0] / best_s[p] : 0.0,
+          fits[p] == fits[0] ? "true" : "false");
+      Emit(line);
+    }
+  }
+  ExecutionContext::Get().SetNumThreads(original);
 }
 
 void BenchBatchedPredict() {
@@ -164,10 +221,12 @@ void BenchBatchedPredict() {
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"gp_scaling\",\"task\":\"batched_predict\",\"n\":%zu,"
-      "\"queries\":%zu,\"threads\":%zu,\"scalar_s\":%.6f,\"batch_s\":%.6f,"
-      "\"speedup\":%.2f,\"identical\":%s}\n",
-      n, num_queries, ExecutionContext::Get().num_threads(), scalar_s,
-      batch_s, batch_s > 0.0 ? scalar_s / batch_s : 0.0,
+      "\"queries\":%zu,\"threads\":%zu,\"host_cpus\":%zu,"
+      "\"scalar_s\":%.6f,\"batch_s\":%.6f,\"speedup\":%.2f,"
+      "\"identical\":%s}\n",
+      n, num_queries, ExecutionContext::Get().num_threads(),
+      bench::HostCpus(), scalar_s, batch_s,
+      batch_s > 0.0 ? scalar_s / batch_s : 0.0,
       identical ? "true" : "false");
   Emit(line);
 }
@@ -301,11 +360,12 @@ void BenchSparseFit() {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"gp_scaling\",\"task\":\"sparse_fit\",\"n\":%zu,"
-        "\"m\":%zu,\"threads\":%zu,\"sparse_s\":%.6f,\"exact_s\":%.6f,"
-        "\"exact_mode\":\"%s\",\"speedup_vs_exact\":%.2f,\"identical\":%s}"
-        "\n",
-        n, gp.num_inducing(), ExecutionContext::Get().num_threads(), sparse_s,
-        exact_s, exact_mode, sparse_s > 0.0 ? exact_s / sparse_s : 0.0,
+        "\"m\":%zu,\"threads\":%zu,\"host_cpus\":%zu,\"sparse_s\":%.6f,"
+        "\"exact_s\":%.6f,\"exact_mode\":\"%s\",\"speedup_vs_exact\":%.2f,"
+        "\"identical\":%s}\n",
+        n, gp.num_inducing(), ExecutionContext::Get().num_threads(),
+        bench::HostCpus(), sparse_s, exact_s, exact_mode,
+        sparse_s > 0.0 ? exact_s / sparse_s : 0.0,
         identical ? "true" : "false");
     Emit(line);
   }
@@ -332,12 +392,15 @@ int main() {
                         "tier scaling",
                         "sequential BO fits at n in {100,250,500}, d=20; "
                         "acquisition scoring of 2000 candidates at n=500; "
+                        "hyperopt grid sweeps at n in {250,500} on 1/2/4 "
+                        "threads; "
                         "sparse (FITC) fits at n in {10k,30k,100k}");
   // The incremental-fit counter proves the bordered-append path actually
   // ran (the identity check alone would also pass on silent fallback).
   dbtune::obs::SetMetricsEnabled(true);
   dbtune::BenchSequentialFits();
   dbtune::BenchBatchedPredict();
+  dbtune::BenchHyperoptFit();
   dbtune::BenchSparseFit();
   dbtune::WriteReportFile();
   return 0;

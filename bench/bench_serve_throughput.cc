@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -34,15 +33,6 @@ using serve::BatchScheduler;
 using serve::SchedulerOptions;
 using serve::ServedSessionOptions;
 using serve::SessionManager;
-
-// Physical cores of the host, recorded in every row: the batched mode's
-// whole-session fan-out converts cores into sessions/sec, so the
-// batched-vs-unbatched ratio a report shows is bounded by this number —
-// a single-core container measures dispatch overhead, not scaling.
-size_t HostCpus() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 size_t Effective(size_t full, size_t floor_value) {
   const double factor = std::min(1.0, bench::Scale() / 0.3);
@@ -249,7 +239,7 @@ void BenchServeThroughput() {
             "\"sessions_per_sec\":%.2f,\"requests_per_sec\":%.1f,"
             "\"suggest_p50_ms\":%.4f,\"suggest_p99_ms\":%.4f,"
             "\"identical\":%s}\n",
-            sessions, iterations, threads, HostCpus(),
+            sessions, iterations, threads, bench::HostCpus(),
             batched ? "batched" : "unbatched", outcome.elapsed_s,
             sessions_per_sec, requests_per_sec, outcome.suggest_p50_s * 1e3,
             outcome.suggest_p99_s * 1e3, identical ? "true" : "false");
@@ -263,7 +253,8 @@ void BenchServeThroughput() {
           "\"batched_sessions_per_sec\":%.2f,"
           "\"unbatched_sessions_per_sec\":%.2f,\"speedup\":%.2f,"
           "\"identical\":%s}\n",
-          sessions, threads, HostCpus(), per_mode_rate[1], per_mode_rate[0],
+          sessions, threads, bench::HostCpus(), per_mode_rate[1],
+          per_mode_rate[0],
           per_mode_rate[0] > 0.0 ? per_mode_rate[1] / per_mode_rate[0] : 0.0,
           per_mode_identical[0] && per_mode_identical[1] ? "true" : "false");
       Emit(line);

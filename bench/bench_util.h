@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/metrics.h"
@@ -51,6 +52,13 @@ inline size_t ScaledSamples(size_t paper_samples, size_t floor = 300) {
 /// Paper repetition count scaled (>= 2 so quartiles exist).
 inline int ScaledRuns(int paper_runs) {
   return std::max(2, static_cast<int>(paper_runs * Scale() + 0.5));
+}
+
+/// Logical CPUs of the host (at least 1), recorded in bench rows so a
+/// thread-scaling figure can be read against what the host offers.
+inline size_t HostCpus() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 /// Prints the standard bench banner.

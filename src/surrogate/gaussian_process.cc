@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,52 +20,48 @@ GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
   DBTUNE_CHECK(!options_.noise_grid.empty());
 }
 
-Matrix GaussianProcess::AssembleKernelMatrix() const {
+void GaussianProcess::AssembleKernelMatrix(double lengthscale,
+                                           Matrix* k) const {
   const size_t n = x_.size();
-  Matrix k(n, n);
+  if (k->rows() != n || k->cols() != n) *k = Matrix(n, n);
+  Matrix& out = *k;
   // Row i fills k(i, i..n) and mirrors into k(i..n, i): each (i, j) pair
-  // is owned by exactly one i, so rows parallelize without overlap. The
-  // small grain compensates for the triangular (shrinking) row cost.
+  // is owned by exactly one i, so rows parallelize without overlap and
+  // every entry is written (a reused buffer needs no clearing). The small
+  // grain compensates for the triangular (shrinking) row cost.
   ParallelFor(GlobalPool(), 0, n, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       for (size_t j = i; j < n; ++j) {
-        const double v = kernel_->Compute(x_[i], x_[j]);
-        k(i, j) = v;
-        k(j, i) = v;
+        const double v = kernel_->Compute(x_[i], x_[j], lengthscale);
+        out(i, j) = v;
+        out(j, i) = v;
       }
     }
   });
-  return k;
 }
 
-Result<double> GaussianProcess::FactorizeWith(const Matrix& k_base,
-                                              double noise, FitState* state) {
+Result<double> GaussianProcess::FactorizeInPlace(double noise,
+                                                 FitState* state) const {
   const size_t n = x_.size();
-  Matrix k = k_base;
+  Matrix& k = state->chol;
   k.AddDiagonal(noise + 1e-10);
   DBTUNE_RETURN_IF_ERROR(CholeskyFactorize(&k));
   // alpha = K^-1 y via two triangular solves.
   std::vector<double> tmp = SolveLowerTriangular(k, y_standardized_);
-  std::vector<double> alpha = SolveUpperTriangularFromLower(k, tmp);
+  state->alpha = SolveUpperTriangularFromLower(k, tmp);
 
-  double lml = -0.5 * Dot(y_standardized_, alpha);
+  double lml = -0.5 * Dot(y_standardized_, state->alpha);
   for (size_t i = 0; i < n; ++i) lml -= std::log(k(i, i));
   lml -= 0.5 * static_cast<double>(n) * std::log(2.0 * M_PI);
-
-  state->chol = std::move(k);
-  state->alpha = std::move(alpha);
   return lml;
 }
 
-Result<double> GaussianProcess::FitWith(double lengthscale, double noise) {
-  kernel_->set_lengthscale(lengthscale);
+Result<double> GaussianProcess::Refit() {
   FitState state;
-  DBTUNE_ASSIGN_OR_RETURN(const double lml,
-                          FactorizeWith(AssembleKernelMatrix(), noise,
-                                        &state));
+  AssembleKernelMatrix(kernel_->lengthscale(), &state.chol);
+  DBTUNE_ASSIGN_OR_RETURN(const double lml, FactorizeInPlace(noise_, &state));
   chol_ = std::move(state.chol);
   alpha_ = std::move(state.alpha);
-  noise_ = noise;
   factor_cached_ = true;
   return lml;
 }
@@ -170,7 +167,7 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
       }
       // Failed pivot: fall through to the full refactorization.
     }
-    Result<double> lml = FitWith(kernel_->lengthscale(), noise_);
+    Result<double> lml = Refit();
     if (lml.ok()) {
       lml_ = *lml;
       fitted_ = true;
@@ -179,34 +176,50 @@ Status GaussianProcess::Fit(const FeatureMatrix& x,
     // Fall through to a full search when the cached choice fails.
   }
 
-  // Grid sweep with a Gram cache: K depends on the lengthscale only, so
-  // it is assembled once per lengthscale and shared across the noise
-  // grid (the noise enters through the diagonal of the copy inside
-  // FactorizeWith). The winning factorization is kept and installed at
-  // the end — no redundant final refit of the best grid point.
+  // Grid sweep. K depends on the lengthscale only, so per lengthscale it
+  // is assembled once into slot 0 and copied into one slot per noise
+  // value; the slots then add their noise diagonal and factorize in one
+  // parallel region. Every n x n buffer is allocated here, on the calling
+  // thread, and the stale factor is released first, so at most
+  // |noise grid| + 1 such matrices are live (slots plus the best). The
+  // reduction runs in grid order after each region, so the winner — the
+  // first strictly greater LML — is the same at any pool size.
   if (obs::MetricsEnabled()) {
     static obs::Counter& hyperopt_runs =
         obs::MetricsRegistry::Get().counter("gp.hyperopt.runs");
     hyperopt_runs.Increment();
   }
+  chol_ = Matrix();
+  alpha_ = std::vector<double>();
+  const std::vector<double>& noise_grid = options_.noise_grid;
+  std::vector<FitState> slots(noise_grid.size());
+  std::vector<std::optional<double>> slot_lml(noise_grid.size());
   double best_lml = -1e300;
   double best_ls = options_.lengthscale_grid.front();
-  double best_noise = options_.noise_grid.front();
+  double best_noise = noise_grid.front();
   FitState best_state;
   bool any = false;
   for (double ls : options_.lengthscale_grid) {
-    kernel_->set_lengthscale(ls);
-    const Matrix k_base = AssembleKernelMatrix();
-    for (double noise : options_.noise_grid) {
-      FitState state;
-      Result<double> lml = FactorizeWith(k_base, noise, &state);
-      if (!lml.ok()) continue;
-      if (!any || *lml > best_lml) {
+    AssembleKernelMatrix(ls, &slots[0].chol);
+    for (size_t j = 1; j < slots.size(); ++j) slots[j].chol = slots[0].chol;
+    ParallelFor(GlobalPool(), 0, slots.size(), /*grain=*/1,
+                [&](size_t begin, size_t end) {
+                  for (size_t j = begin; j < end; ++j) {
+                    Result<double> lml =
+                        FactorizeInPlace(noise_grid[j], &slots[j]);
+                    slot_lml[j] = lml.ok() ? std::optional<double>(*lml)
+                                           : std::nullopt;
+                  }
+                });
+    for (size_t j = 0; j < slots.size(); ++j) {
+      if (!slot_lml[j]) continue;
+      if (!any || *slot_lml[j] > best_lml) {
         any = true;
-        best_lml = *lml;
+        best_lml = *slot_lml[j];
         best_ls = ls;
-        best_noise = noise;
-        best_state = std::move(state);
+        best_noise = noise_grid[j];
+        // The slot takes the previous best's buffers for reuse.
+        std::swap(best_state, slots[j]);
       }
     }
   }

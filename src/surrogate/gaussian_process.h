@@ -73,15 +73,17 @@ class GaussianProcess final : public Regressor {
     std::vector<double> alpha;
   };
 
-  /// Assembles K (no noise diagonal) at the kernel's current lengthscale.
-  Matrix AssembleKernelMatrix() const;
-  /// Copies `k_base`, adds the noise diagonal, factorizes, and computes
-  /// alpha; returns the LML. Does not touch member state.
-  Result<double> FactorizeWith(const Matrix& k_base, double noise,
-                               FitState* state);
-  /// Builds K + noise*I, factorizes, computes alpha, installs the result
-  /// into member state; returns the LML.
-  Result<double> FitWith(double lengthscale, double noise);
+  /// Assembles K (no noise diagonal) at `lengthscale` into `k`, resizing
+  /// it to n x n when its shape differs.
+  void AssembleKernelMatrix(double lengthscale, Matrix* k) const;
+  /// Adds the noise diagonal to the Gram matrix held in `state->chol`,
+  /// factorizes it in place, and computes alpha; returns the LML. Reads
+  /// only the training targets, so noise slots factorize concurrently.
+  Result<double> FactorizeInPlace(double noise, FitState* state) const;
+  /// Rebuilds K + noise*I at the installed hyper-parameters, factorizes,
+  /// computes alpha, installs the result into member state; returns the
+  /// LML.
+  Result<double> Refit();
   /// Extends the cached factor with rows [old_n, x_.size()) by bordered
   /// Cholesky append, then recomputes alpha/LML (the targets are
   /// re-standardized every fit). Fails when a pivot is not positive.

@@ -14,11 +14,21 @@ class Kernel {
  public:
   virtual ~Kernel() = default;
 
-  /// k(a, b); inputs must have equal size.
-  virtual double Compute(const std::vector<double>& a,
-                         const std::vector<double>& b) const = 0;
+  /// k(a, b) at the installed lengthscale; inputs must have equal size.
+  double Compute(const std::vector<double>& a,
+                 const std::vector<double>& b) const {
+    return Compute(a, b, lengthscale_);
+  }
 
-  /// Shared lengthscale hyper-parameter (tuned by the GP via grid search).
+  /// k(a, b) at an explicit `lengthscale`. Reads no mutable state, so a
+  /// hyper-parameter sweep can evaluate grid points concurrently without
+  /// installing them.
+  virtual double Compute(const std::vector<double>& a,
+                         const std::vector<double>& b,
+                         double lengthscale) const = 0;
+
+  /// Shared lengthscale hyper-parameter (tuned by the GP via grid search;
+  /// only the winning grid point is installed).
   void set_lengthscale(double lengthscale) { lengthscale_ = lengthscale; }
   double lengthscale() const { return lengthscale_; }
 
@@ -33,8 +43,9 @@ class Kernel {
 /// which is exactly the weakness the heterogeneity experiment probes.
 class RbfKernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  using Kernel::Compute;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "RBF"; }
 };
 
@@ -42,8 +53,9 @@ class RbfKernel final : public Kernel {
 /// surfaces (less smooth than RBF).
 class Matern52Kernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  using Kernel::Compute;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Matern52"; }
 };
 
@@ -51,8 +63,9 @@ class Matern52Kernel final : public Kernel {
 /// fraction of differing entries. Treats categories as unordered symbols.
 class HammingKernel final : public Kernel {
  public:
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  using Kernel::Compute;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Hamming"; }
 };
 
@@ -63,8 +76,9 @@ class MixedKernel final : public Kernel {
   /// `is_categorical[d]` marks dimension d as categorical.
   explicit MixedKernel(std::vector<bool> is_categorical);
 
-  double Compute(const std::vector<double>& a,
-                 const std::vector<double>& b) const override;
+  using Kernel::Compute;
+  double Compute(const std::vector<double>& a, const std::vector<double>& b,
+                 double lengthscale) const override;
   std::string name() const override { return "Mixed"; }
 
  private:

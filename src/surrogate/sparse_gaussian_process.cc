@@ -82,7 +82,8 @@ std::vector<size_t> SparseGaussianProcess::SelectInducingIndices(
 }
 
 Status SparseGaussianProcess::PrepareLengthscale(
-    const FeatureMatrix& x, LengthscaleState* state) const {
+    const FeatureMatrix& x, double lengthscale,
+    LengthscaleState* state) const {
   const size_t n = x.size();
   const size_t m = xm_.size();
   // Inducing Gram, assembled like the exact GP's kernel matrix: row j
@@ -92,7 +93,7 @@ Status SparseGaussianProcess::PrepareLengthscale(
   ParallelFor(GlobalPool(), 0, m, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
       for (size_t k = j; k < m; ++k) {
-        const double v = kernel_->Compute(xm_[j], xm_[k]);
+        const double v = kernel_->Compute(xm_[j], xm_[k], lengthscale);
         kmm(j, k) = v;
         kmm(k, j) = v;
       }
@@ -119,9 +120,9 @@ Status SparseGaussianProcess::PrepareLengthscale(
     for (size_t i = begin; i < end; ++i) {
       double* knm_row = state->knm.RowPtr(i);
       for (size_t j = 0; j < m; ++j) {
-        knm_row[j] = kernel_->Compute(x[i], xm_[j]);
+        knm_row[j] = kernel_->Compute(x[i], xm_[j], lengthscale);
       }
-      state->kdiag[i] = kernel_->Compute(x[i], x[i]);
+      state->kdiag[i] = kernel_->Compute(x[i], x[i], lengthscale);
       std::copy(knm_row, knm_row + m, row.begin());
       SolveLowerTriangularInto(lm, row, &sol);
       state->q[i] = Dot(sol, sol);
@@ -213,20 +214,17 @@ Result<double> SparseGaussianProcess::FactorizeWith(
   return lml;
 }
 
-Result<double> SparseGaussianProcess::FitWith(const FeatureMatrix& x,
-                                              const std::vector<double>& y_std,
-                                              double lengthscale,
-                                              double noise) {
-  kernel_->set_lengthscale(lengthscale);
+Result<double> SparseGaussianProcess::Refit(const FeatureMatrix& x,
+                                            const std::vector<double>& y_std) {
   LengthscaleState ls_state;
-  DBTUNE_RETURN_IF_ERROR(PrepareLengthscale(x, &ls_state));
+  DBTUNE_RETURN_IF_ERROR(
+      PrepareLengthscale(x, kernel_->lengthscale(), &ls_state));
   FitState state;
   DBTUNE_ASSIGN_OR_RETURN(const double lml,
-                          FactorizeWith(ls_state, y_std, noise, &state));
+                          FactorizeWith(ls_state, y_std, noise_, &state));
   lm_ = std::move(ls_state.lm);
   la_ = std::move(state.la);
   alpha_ = std::move(state.alpha);
-  noise_ = noise;
   return lml;
 }
 
@@ -255,7 +253,7 @@ Status SparseGaussianProcess::Fit(const FeatureMatrix& x,
       (fits_since_hyperopt_ + 1) % std::max<size_t>(1, options_.hyperopt_every);
 
   if (!do_hyperopt) {
-    Result<double> lml = FitWith(x, y_std, kernel_->lengthscale(), noise_);
+    Result<double> lml = Refit(x, y_std);
     if (lml.ok()) {
       lml_ = *lml;
       fitted_ = true;
@@ -266,7 +264,8 @@ Status SparseGaussianProcess::Fit(const FeatureMatrix& x,
 
   // Grid sweep sharing the per-lengthscale state across the noise grid
   // (K_mm, K_nm, and the Nyström diagonal depend on the lengthscale
-  // only; the noise enters through Λ and A).
+  // only; the noise enters through Λ and A). Grid points are evaluated
+  // at an explicit lengthscale; only the winner is installed.
   double best_lml = -1e300;
   double best_ls = options_.lengthscale_grid.front();
   double best_noise = options_.noise_grid.front();
@@ -274,9 +273,8 @@ Status SparseGaussianProcess::Fit(const FeatureMatrix& x,
   FitState best_state;
   bool any = false;
   for (double ls : options_.lengthscale_grid) {
-    kernel_->set_lengthscale(ls);
     LengthscaleState ls_state;
-    if (!PrepareLengthscale(x, &ls_state).ok()) continue;
+    if (!PrepareLengthscale(x, ls, &ls_state).ok()) continue;
     for (double noise : options_.noise_grid) {
       FitState state;
       Result<double> lml = FactorizeWith(ls_state, y_std, noise, &state);

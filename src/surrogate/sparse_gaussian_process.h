@@ -91,19 +91,20 @@ class SparseGaussianProcess final : public Regressor {
   /// Greedy farthest-point selection of min(m, n) inducing indices.
   std::vector<size_t> SelectInducingIndices(const FeatureMatrix& x,
                                             size_t m) const;
-  /// Assembles the per-lengthscale state at the kernel's current
-  /// lengthscale. Fails when the inducing Gram is not positive definite.
+  /// Assembles the per-lengthscale state at `lengthscale` (the kernel's
+  /// installed lengthscale is not touched). Fails when the inducing Gram
+  /// is not positive definite.
   [[nodiscard]] Status PrepareLengthscale(const FeatureMatrix& x,
+                                          double lengthscale,
                                           LengthscaleState* state) const;
   /// Builds Λ, A, and alpha for one noise level on top of `ls_state`;
   /// returns the FITC log marginal likelihood. Does not touch members.
   Result<double> FactorizeWith(const LengthscaleState& ls_state,
                                const std::vector<double>& y_std, double noise,
                                FitState* state) const;
-  /// Fits at fixed hyper-parameters and installs the result.
-  Result<double> FitWith(const FeatureMatrix& x,
-                         const std::vector<double>& y_std, double lengthscale,
-                         double noise);
+  /// Fits at the installed hyper-parameters and installs the result.
+  Result<double> Refit(const FeatureMatrix& x,
+                       const std::vector<double>& y_std);
 
   std::unique_ptr<Kernel> kernel_;
   SparseGaussianProcessOptions options_;

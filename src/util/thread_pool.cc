@@ -14,17 +14,72 @@ namespace dbtune {
 
 namespace {
 
-// Set while a thread is executing pool work; nested ParallelFor calls on
-// such a thread run inline instead of re-entering the queue (waiting on
-// the queue from a worker can deadlock once every worker is waiting).
+// Set while a thread is executing pool work: on workers for their whole
+// life, on a ParallelFor caller while it runs chunks. Nested ParallelFor
+// calls on such a thread run inline instead of re-entering the queue
+// (waiting on the queue from a worker can deadlock once every worker is
+// waiting).
 thread_local bool t_in_pool_worker = false;
+
+// Shared state of one parallel region. Chunk `c` covers
+// [begin + c * grain, min(end, begin + (c + 1) * grain)): boundaries
+// depend only on (begin, end, grain), never on which thread claims the
+// chunk, so any per-index output written by `fn` is identical for every
+// pool size. Helpers hold the region by shared_ptr and may start after
+// the caller has returned; they then claim nothing and never touch `fn`.
+struct Region {
+  Region(size_t begin, size_t end, size_t grain,
+         const std::function<void(size_t, size_t)>* fn)
+      : begin(begin),
+        end(end),
+        grain(grain),
+        num_chunks((end - begin + grain - 1) / grain),
+        fn(fn) {}
+
+  // Claims chunks until none is left. The thread that completes the last
+  // chunk wakes the caller.
+  void RunChunks() {
+    for (;;) {
+      const size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= num_chunks) return;
+      const size_t chunk_begin = begin + chunk * grain;
+      const size_t chunk_end = std::min(end, chunk_begin + grain);
+      try {
+        (*fn)(chunk_begin, chunk_end);
+      } catch (...) {
+        MutexLock lock(&mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      // acq_rel: the caller's wake-up happens after every chunk's writes.
+      if (chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          num_chunks) {
+        MutexLock lock(&mu);
+        done = true;
+        done_cv.NotifyAll();
+      }
+    }
+  }
+
+  const size_t begin;
+  const size_t end;
+  const size_t grain;
+  const size_t num_chunks;
+  const std::function<void(size_t, size_t)>* const fn;
+  std::atomic<size_t> next_chunk{0};
+  std::atomic<size_t> chunks_done{0};
+  Mutex mu;
+  CondVar done_cv;
+  bool done DBTUNE_GUARDED_BY(mu) = false;
+  std::exception_ptr first_error DBTUNE_GUARDED_BY(mu);
+};
 
 }  // namespace
 
 ThreadPool::ThreadPool(size_t size) : size_(std::max<size_t>(1, size)) {
   if (size_ == 1) return;  // sequential fallback: no threads at all
-  workers_.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
+  // The ParallelFor caller is the remaining lane.
+  workers_.reserve(size_ - 1);
+  for (size_t i = 0; i + 1 < size_; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -74,6 +129,11 @@ void ThreadPool::WorkerLoop(size_t worker) {
       if (queue_.empty()) return;  // shutdown with a drained queue
       task = std::move(queue_.front());
       queue_.pop_front();
+      if (obs::MetricsEnabled()) {
+        static obs::Gauge& depth =
+            obs::MetricsRegistry::Get().gauge("pool.queue_depth");
+        depth.Set(static_cast<double>(queue_.size()));
+      }
     }
     if (obs::MetricsEnabled()) {
       static obs::Counter& executed =
@@ -100,42 +160,23 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
     return;
   }
 
-  // Shared completion state for this region. Chunk boundaries depend only
-  // on (begin, end, grain), never on scheduling, so any per-index output
-  // written by `fn` is identical for every pool size.
-  struct Region {
-    Mutex mu;
-    CondVar done_cv;
-    size_t pending DBTUNE_GUARDED_BY(mu) = 0;
-    std::exception_ptr first_error DBTUNE_GUARDED_BY(mu);
-  };
-  auto region = std::make_shared<Region>();
-  const size_t num_chunks = (count + grain - 1) / grain;
-  {
-    MutexLock lock(&region->mu);
-    region->pending = num_chunks;
+  auto region = std::make_shared<Region>(begin, end, grain, &fn);
+  // The caller claims chunks too, so a region never needs more than
+  // size() - 1 helpers, and never more helpers than chunks beyond its own.
+  const size_t helpers = std::min(pool->size() - 1, region->num_chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([region] { region->RunChunks(); });
   }
-
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-    const size_t chunk_begin = begin + chunk * grain;
-    const size_t chunk_end = std::min(end, chunk_begin + grain);
-    pool->Submit([region, chunk_begin, chunk_end, &fn] {
-      std::exception_ptr error;
-      try {
-        fn(chunk_begin, chunk_end);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      MutexLock lock(&region->mu);
-      if (error && !region->first_error) region->first_error = error;
-      if (--region->pending == 0) region->done_cv.NotifyAll();
-    });
-  }
+  // While it runs chunks the caller counts as pool work, so regions
+  // nested in its chunks run inline exactly as they do on a helper.
+  t_in_pool_worker = true;
+  region->RunChunks();
+  t_in_pool_worker = false;
 
   std::exception_ptr first_error;
   {
     MutexLock lock(&region->mu);
-    while (region->pending != 0) region->done_cv.Wait(&region->mu);
+    while (!region->done) region->done_cv.Wait(&region->mu);
     first_error = region->first_error;
   }
   if (first_error) std::rethrow_exception(first_error);

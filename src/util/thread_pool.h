@@ -13,17 +13,22 @@
 
 namespace dbtune {
 
-/// Fixed-size thread pool with a single shared task queue (no work
-/// stealing; the library's parallel regions are coarse enough that a
-/// plain queue is contention-free in practice).
+/// Fixed-size thread pool with a single shared task queue and no work
+/// stealing. `ParallelFor` queues at most `size() - 1` helper tasks per
+/// region; the helpers and the caller then claim chunks from an atomic
+/// counter, so the queue sees one push per helper, not one per chunk.
 ///
-/// A pool of size 1 spawns no threads at all: `Submit` runs the task
-/// inline and `ParallelFor` degenerates to a sequential loop, so every
-/// call site stays exercisable single-threaded (tests, TSan, valgrind).
+/// The thread calling `ParallelFor` is one of the `size()` lanes, so the
+/// pool runs `size() - 1` worker threads. A pool of size 1 spawns no
+/// threads at all: `Submit` runs the task inline and `ParallelFor`
+/// degenerates to a sequential loop, so every call site stays
+/// exercisable single-threaded (tests, TSan, valgrind).
 class ThreadPool {
  public:
-  /// Creates `size` logical execution lanes. `size == 1` (or 0, which is
-  /// clamped to 1) means sequential inline execution with no threads.
+  /// Creates `size` logical execution lanes: `size - 1` worker threads
+  /// plus the calling thread of each `ParallelFor`. `size == 1` (or 0,
+  /// which is clamped to 1) means sequential inline execution with no
+  /// threads.
   explicit ThreadPool(size_t size);
   ~ThreadPool();
 
@@ -33,13 +38,16 @@ class ThreadPool {
   /// Logical parallelism (>= 1).
   size_t size() const { return size_; }
 
-  /// Enqueues `task` for asynchronous execution (inline when size()==1).
+  /// Enqueues `task` for asynchronous execution on one of the
+  /// `size() - 1` workers (inline when size()==1).
   /// Tasks must not throw; exceptions from `ParallelFor` bodies are
   /// captured and rethrown by `ParallelFor` itself.
   void Submit(std::function<void()> task);
 
-  /// True when the calling thread is one of this pool's workers. Used to
-  /// run nested parallel regions inline instead of deadlocking the queue.
+  /// True when the calling thread is running pool work: it is a pool
+  /// worker, or a `ParallelFor` caller inside one of its own chunks. Used
+  /// to run nested parallel regions inline instead of deadlocking the
+  /// queue.
   bool InWorkerThread() const;
 
  private:
@@ -54,11 +62,17 @@ class ThreadPool {
 };
 
 /// Splits [begin, end) into chunks of at most `grain` indices and runs
-/// `fn(chunk_begin, chunk_end)` for each chunk on `pool`, blocking until
-/// every chunk finished. Runs sequentially when `pool` is null, has size
-/// 1, the range fits in one grain, or the caller is already a pool worker
+/// `fn(chunk_begin, chunk_end)` for each chunk, blocking until every
+/// chunk finished. Runs sequentially when `pool` is null, has size 1, the
+/// range fits in one grain, or the caller is already running pool work
 /// (nested parallelism executes inline — the queue is never waited on
 /// from inside itself).
+///
+/// Region protocol: the caller submits at most `size() - 1` helper tasks,
+/// then it and the helpers claim chunks from a shared atomic counter
+/// until none is left. The caller takes part, so a region finishes even
+/// when every worker is busy elsewhere; helpers that start late find no
+/// chunk and exit.
 ///
 /// The first exception thrown by any chunk is rethrown on the calling
 /// thread after all chunks have drained.

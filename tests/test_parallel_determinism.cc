@@ -4,6 +4,7 @@
 // compare full outputs with exact equality.
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,88 @@ TEST(ParallelDeterminismTest, GaussianProcessFitAndPredict) {
     return out;
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+// The exact GP's hyper-parameter sweep factorizes the noise slots of
+// each lengthscale in one parallel region, then reduces in grid order.
+// Its winner must be the first strict maximum of the LML in
+// lengthscale-major order — ties included, failing grid points skipped —
+// and its installed state bitwise equal at every pool size and to a
+// single-point fit at the winner.
+void ExpectSweepPicksFirstMaximum(const FeatureMatrix& x,
+                                  const std::vector<double>& y,
+                                  const GaussianProcessOptions& options,
+                                  bool expect_failed_point) {
+  struct Fitted {
+    double lengthscale = 0.0;
+    double noise = 0.0;
+    double lml = 0.0;
+    std::vector<double> chol;
+    std::vector<double> alpha;
+  };
+  auto fit = [&](const GaussianProcessOptions& opts) -> std::optional<Fitted> {
+    GaussianProcess gp(std::make_unique<RbfKernel>(), opts);
+    if (!gp.Fit(x, y).ok()) return std::nullopt;
+    return Fitted{gp.kernel().lengthscale(), gp.noise(),
+                  gp.log_marginal_likelihood(), gp.cholesky_factor().data(),
+                  gp.alpha()};
+  };
+
+  // Reference: every grid point on its own, scanned in grid order.
+  std::optional<Fitted> expected;
+  bool saw_failure = false;
+  {
+    PoolSizeGuard guard(1);
+    for (double ls : options.lengthscale_grid) {
+      for (double noise : options.noise_grid) {
+        GaussianProcessOptions single = options;
+        single.lengthscale_grid = {ls};
+        single.noise_grid = {noise};
+        std::optional<Fitted> point = fit(single);
+        if (!point) {
+          saw_failure = true;
+          continue;
+        }
+        if (!expected || point->lml > expected->lml) expected = point;
+      }
+    }
+  }
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(saw_failure, expect_failed_point);
+
+  for (size_t pool_size : {1, 2, 8}) {
+    SCOPED_TRACE("pool " + std::to_string(pool_size));
+    PoolSizeGuard guard(pool_size);
+    std::optional<Fitted> swept = fit(options);
+    ASSERT_TRUE(swept.has_value());
+    EXPECT_EQ(swept->lengthscale, expected->lengthscale);
+    EXPECT_EQ(swept->noise, expected->noise);
+    EXPECT_EQ(swept->lml, expected->lml);
+    EXPECT_EQ(swept->chol, expected->chol);
+    EXPECT_EQ(swept->alpha, expected->alpha);
+  }
+}
+
+TEST(ParallelDeterminismTest, GaussianProcessSweepTieResolvesInGridOrder) {
+  const FeatureMatrix x = MakeInputs(60, 4, 71);
+  const std::vector<double> y = MakeTargets(x);
+  GaussianProcessOptions options;
+  options.noise_grid = {1e-2, 1e-4, 1e-2};  // slots 0 and 2 tie exactly
+  ExpectSweepPicksFirstMaximum(x, y, options, /*expect_failed_point=*/false);
+}
+
+TEST(ParallelDeterminismTest, GaussianProcessSweepSkipsNonPositiveDefinite) {
+  // Every row twice, so K is singular. Noise 0 still factorizes on the
+  // fixed 1e-10 jitter; a negative noise value makes K + noise*I
+  // indefinite, so those grid points (slot 0 at every lengthscale) fail
+  // to factorize and must be skipped without shifting the winner.
+  FeatureMatrix x = MakeInputs(40, 2, 73);
+  const FeatureMatrix copy = x;
+  x.insert(x.end(), copy.begin(), copy.end());
+  const std::vector<double> y = MakeTargets(x);
+  GaussianProcessOptions options;
+  options.noise_grid = {-0.5, 0.0, 1e-3};
+  ExpectSweepPicksFirstMaximum(x, y, options, /*expect_failed_point=*/true);
 }
 
 // The sparse tier parallelizes inducing selection, the chunked assembly
