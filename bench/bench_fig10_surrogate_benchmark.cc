@@ -48,7 +48,7 @@ int main() {
     double real_seconds = 0.0;
     std::printf("running %s x %d ...\n", OptimizerTypeName(type), runs);
     for (int run = 0; run < runs; ++run) {
-      const size_t evals_before = (*benchmark)->evaluation_count();
+      const double real_secs_before = (*benchmark)->EquivalentRealSeconds();
       const double eval_secs_before = (*benchmark)->evaluation_seconds();
       const SessionResult result = RunSurrogateSession(
           benchmark->get(), type, iterations, 200 + run);
@@ -56,9 +56,8 @@ int main() {
       wall_seconds += ((*benchmark)->evaluation_seconds() -
                        eval_secs_before) +
                       result.algorithm_overhead_seconds;
-      real_seconds += static_cast<double>((*benchmark)->evaluation_count() -
-                                          evals_before) *
-                      210.0;
+      real_seconds +=
+          (*benchmark)->EquivalentRealSeconds() - real_secs_before;
     }
     table.AddRow(
         {OptimizerTypeName(type),

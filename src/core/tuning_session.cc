@@ -6,7 +6,6 @@
 #include "obs/metrics_export.h"
 #include "obs/session_log.h"
 #include "obs/trace.h"
-#include "optimizer/projected_optimizer.h"
 #include "store/observation_store.h"
 #include "util/logging.h"
 
@@ -140,17 +139,8 @@ SessionResult RunTuningSession(DbmsSimulator* simulator,
   TuningEnvironment env(simulator, knob_indices);
   OptimizerOptions options;
   options.seed = seed;
-  std::unique_ptr<Optimizer> optimizer;
-  if (controls.projection_dims > 0) {
-    ProjectionOptions projection;
-    projection.dims = controls.projection_dims;
-    projection.seed = controls.projection_seed;
-    projection.special_value_bias = controls.projection_special_bias;
-    optimizer = std::make_unique<ProjectedOptimizer>(
-        env.space(), options, optimizer_type, projection);
-  } else {
-    optimizer = CreateOptimizer(optimizer_type, env.space(), options);
-  }
+  std::unique_ptr<Optimizer> optimizer =
+      CreateOptimizer(optimizer_type, env.space(), options);
   return RunTuningSession(&env, optimizer.get(), iterations, controls);
 }
 

@@ -51,16 +51,6 @@ struct SessionControls {
   /// When non-empty, the Chrome trace buffer is written here at session
   /// end. Empty → fall back to the path form of `DBTUNE_TRACE`.
   std::string trace_path;
-  /// When > 0, the convenience overload runs the optimizer inside a
-  /// HeSBO-style random projection of the tuning space with this many
-  /// dimensions (LlamaTune; see ProjectedConfigurationSpace). 0 searches
-  /// the native space.
-  size_t projection_dims = 0;
-  /// Seed of the projection's hash/sign assignment.
-  uint64_t projection_seed = 1;
-  /// Probability mass reserved for each knob's default ("special")
-  /// value in the projected decoding.
-  double projection_special_bias = 0.2;
   /// Collect per-iteration tuner-quality diagnostics (calibration,
   /// regret, model health). Also enabled by `DBTUNE_SESSION_DIAGNOSTICS`.
   /// Diagnostics never perturb the tuning trajectory.

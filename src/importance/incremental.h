@@ -8,10 +8,6 @@
 
 namespace dbtune {
 
-/// Direction of incremental knob selection: OtterTune grows the knob set
-/// over time, Tuneful shrinks it.
-enum class IncrementalDirection { kIncrease, kDecrease };
-
 /// Options for an incremental knob-selection session.
 struct IncrementalOptions {
   /// Knob-set sizes per phase, in phase order (e.g. {5,10,15,20} for the
@@ -23,7 +19,8 @@ struct IncrementalOptions {
   uint64_t seed = 1;
 };
 
-/// Default phase schedules used in the paper's Figure 6 comparison.
+/// Default phase schedules used in the paper's Figure 6 comparison:
+/// OtterTune grows the knob set over time, Tuneful shrinks it.
 IncrementalOptions IncreasingSchedule(size_t iterations_per_phase = 50);
 IncrementalOptions DecreasingSchedule(size_t iterations_per_phase = 50);
 

@@ -72,10 +72,7 @@ std::string TraceEnvPath() {
 }
 
 TraceSpan::TraceSpan(const char* name)
-    : TraceSpan(std::string(name)) {}
-
-TraceSpan::TraceSpan(std::string name)
-    : name_(std::move(name)),
+    : name_(name),
       start_nanos_(0),
       active_(TraceEnabled()) {
   if (active_) start_nanos_ = MonotonicNanos();
@@ -85,7 +82,7 @@ TraceSpan::~TraceSpan() {
   if (!active_) return;
   const uint64_t end_nanos = MonotonicNanos();
   TraceEvent event;
-  event.name = std::move(name_);
+  event.name = name_;
   event.start_nanos = start_nanos_;
   event.duration_nanos =
       end_nanos >= start_nanos_ ? end_nanos - start_nanos_ : 0;

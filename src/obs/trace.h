@@ -41,16 +41,16 @@ std::string TraceEnvPath();
 /// non-literal names at compile time.
 class TraceSpan {
  public:
+  /// `name` must outlive the span (a string literal). It is copied into
+  /// a std::string only when the span records.
   explicit TraceSpan(const char* name);
-  /// Dynamic-name overload for per-optimizer labels.
-  explicit TraceSpan(std::string name);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  std::string name_;
+  const char* name_;
   uint64_t start_nanos_;
   bool active_;
 };

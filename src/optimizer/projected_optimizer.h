@@ -18,8 +18,8 @@ using OptimizerFactory =
 /// configuration space (LlamaTune): the inner optimizer searches the
 /// projection's low-dimensional unit box, every suggestion is decoded to
 /// a full configuration for the DBMS, and observed scores are fed back
-/// at the low-dimensional point that produced them. Opt in per session
-/// via `SessionControls::projection_dims`.
+/// at the low-dimensional point that produced them. A session opts in by
+/// passing a ProjectedOptimizer to `RunTuningSession`.
 ///
 /// The adapter assumes the strict suggest/observe alternation the
 /// session loop follows: each `Observe` credits the score to the most

@@ -11,27 +11,18 @@
 namespace dbtune::serve {
 
 /// Protocol front-end: decodes request frames, dispatches them to the
-/// SessionManager (suggest/observe through the BatchScheduler when one
-/// is attached, so concurrent clients batch across sessions), and
-/// encodes response frames. The transport below it is the in-process
-/// loopback for now; a socket listener speaks the same `Frame` API.
+/// SessionManager (suggest/observe through the BatchScheduler, so
+/// concurrent clients batch across sessions), and encodes response
+/// frames. The transport below it is the in-process loopback for now; a
+/// socket listener speaks the same `Frame` API.
 class FrameServer {
  public:
-  /// `scheduler` may be null: every request then executes inline in
-  /// frame order. Both pointers are borrowed and must outlive the
+  /// Both pointers are borrowed, must be non-null and must outlive the
   /// server.
-  explicit FrameServer(SessionManager* manager,
-                       BatchScheduler* scheduler = nullptr);
+  FrameServer(SessionManager* manager, BatchScheduler* scheduler);
 
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
-
-  /// Handles one request frame synchronously and returns the encoded
-  /// response frame. A malformed or unexpected frame yields a response
-  /// of the same family with the decode error in its header when the
-  /// type is recognisable, and an InvalidArgument CloseSessionResponse
-  /// otherwise (the caller should drop the connection).
-  std::string HandleFrame(const Frame& frame);
 
   /// Drains every complete request frame buffered in `transport`'s
   /// server inbox, executes them — suggests/observes batched across
@@ -42,9 +33,14 @@ class FrameServer {
   [[nodiscard]] Status ServeBuffered(LoopbackTransport* transport);
 
  private:
+  /// Handles one create, close or unrecognised frame synchronously and
+  /// returns the encoded response frame. A malformed frame yields a
+  /// response of the same family with the decode error in its header
+  /// when the type is recognisable, and an InvalidArgument
+  /// CloseSessionResponse otherwise (the caller should drop the
+  /// connection).
+  std::string HandleFrame(const Frame& frame);
   std::string HandleCreate(const Frame& frame);
-  std::string HandleSuggest(const Frame& frame);
-  std::string HandleObserve(const Frame& frame);
   std::string HandleClose(const Frame& frame);
 
   SessionManager* const manager_;

@@ -115,14 +115,4 @@ std::vector<double> RandomForest::SplitCountImportance() const {
   return importance;
 }
 
-std::vector<double> RandomForest::ImpurityImportance() const {
-  DBTUNE_CHECK_MSG(fitted(), "importance before Fit");
-  std::vector<double> importance(num_features_, 0.0);
-  for (const RegressionTree& tree : trees_) {
-    const std::vector<double>& imp = tree.impurity_importance();
-    for (size_t f = 0; f < num_features_; ++f) importance[f] += imp[f];
-  }
-  return importance;
-}
-
 }  // namespace dbtune

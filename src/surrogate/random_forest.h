@@ -44,9 +44,6 @@ class RandomForest final : public Regressor {
   /// Per-feature split counts summed over trees (Gini importance).
   std::vector<double> SplitCountImportance() const;
 
-  /// Per-feature variance-reduction importance summed over trees.
-  std::vector<double> ImpurityImportance() const;
-
   const std::vector<RegressionTree>& trees() const { return trees_; }
   bool fitted() const { return !trees_.empty(); }
 

@@ -18,7 +18,6 @@ Status RegressionTree::Fit(const FeatureMatrix& x,
   num_features_ = x.front().size();
   nodes_.clear();
   split_counts_.assign(num_features_, 0);
-  impurity_importance_.assign(num_features_, 0.0);
 
   std::vector<size_t> indices(x.size());
   std::iota(indices.begin(), indices.end(), size_t{0});
@@ -124,7 +123,6 @@ int RegressionTree::Build(const FeatureMatrix& x, const std::vector<double>& y,
   if (mid == begin || mid == end) return node_index;  // degenerate split
 
   ++split_counts_[static_cast<size_t>(best_feature)];
-  impurity_importance_[static_cast<size_t>(best_feature)] += best_gain;
 
   nodes_[node_index].feature = best_feature;
   nodes_[node_index].threshold = best_threshold;

@@ -44,12 +44,6 @@ class RegressionTree final : public Regressor {
   /// Number of times each feature was used in a split.
   const std::vector<size_t>& split_counts() const { return split_counts_; }
 
-  /// Total variance reduction attributed to each feature (impurity
-  /// importance).
-  const std::vector<double>& impurity_importance() const {
-    return impurity_importance_;
-  }
-
   /// Leaf partition boxes over the unit cube (for fANOVA). Input features
   /// are assumed to lie in [0,1].
   std::vector<LeafBox> LeafBoxes() const;
@@ -80,7 +74,6 @@ class RegressionTree final : public Regressor {
   size_t num_features_ = 0;
   std::vector<Node> nodes_;
   std::vector<size_t> split_counts_;
-  std::vector<double> impurity_importance_;
   Rng rng_;
 };
 

@@ -315,10 +315,34 @@ void SparseGaussianProcess::PredictMeanVar(const std::vector<double>& x,
   static obs::Histogram& predict_hist =
       obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
   obs::ScopedLatency predict_latency(&predict_hist);
+  PredictOne(x, mean, variance);
+}
+
+void SparseGaussianProcess::PredictMeanVarBatch(
+    const FeatureMatrix& xs, std::vector<double>* means,
+    std::vector<double>* variances) const {
+  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
+  static obs::Histogram& batch_hist =
+      obs::MetricsRegistry::Get().histogram("gp.predict.sparse.batch");
+  obs::ScopedLatency batch_latency(&batch_hist);
+  means->resize(xs.size());
+  variances->resize(xs.size());
+  // Each query writes only its own slot, so the parallel batch is
+  // bitwise the scalar loop.
+  ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16,
+              [&](size_t begin, size_t end) {
+                for (size_t q = begin; q < end; ++q) {
+                  PredictOne(xs[q], &(*means)[q], &(*variances)[q]);
+                }
+              });
+}
+
+void SparseGaussianProcess::PredictOne(const std::vector<double>& x,
+                                       double* mean, double* variance) const {
   // FITC posterior: μ = k_mᵀ α and
   // var = k** − ||L_m⁻¹ k_m||² + ||L_A⁻¹ k_m||² — O(m²), no dependence
-  // on n. Scratch is per calling thread; the batch path runs the same
-  // routine from pool workers, each with its own scratch.
+  // on n. Declared here, the scratch belongs to whichever thread runs
+  // the query: the caller or a pool worker of the batch path.
   static thread_local std::vector<double> k_m;
   static thread_local std::vector<double> v;
   static thread_local std::vector<double> w;
@@ -334,42 +358,6 @@ void SparseGaussianProcess::PredictMeanVar(const std::vector<double>& x,
 
   *mean = mu * y_moments_.sd + y_moments_.mean;
   *variance = var * y_moments_.sd * y_moments_.sd;
-}
-
-void SparseGaussianProcess::PredictMeanVarBatch(
-    const FeatureMatrix& xs, std::vector<double>* means,
-    std::vector<double>* variances) const {
-  DBTUNE_CHECK_MSG(fitted_, "Predict before Fit");
-  static obs::Histogram& batch_hist =
-      obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
-  obs::ScopedLatency batch_latency(&batch_hist);
-  means->resize(xs.size());
-  variances->resize(xs.size());
-  // Each query is O(m²) with thread-local scratch and writes only its
-  // own slot, so the parallel batch is bitwise the scalar loop. The
-  // nested scalar entry is not used here to keep the histogram from
-  // double-counting.
-  ParallelFor(GlobalPool(), 0, xs.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                static thread_local std::vector<double> k_m;
-                static thread_local std::vector<double> v;
-                static thread_local std::vector<double> w;
-                const size_t m = xm_.size();
-                for (size_t q = begin; q < end; ++q) {
-                  k_m.resize(m);
-                  for (size_t j = 0; j < m; ++j) {
-                    k_m[j] = kernel_->Compute(xm_[j], xs[q]);
-                  }
-                  const double mu = Dot(k_m, alpha_);
-                  SolveLowerTriangularInto(lm_, k_m, &v);
-                  SolveLowerTriangularInto(la_, k_m, &w);
-                  double var =
-                      kernel_->Compute(xs[q], xs[q]) - Dot(v, v) + Dot(w, w);
-                  if (var < 1e-12) var = 1e-12;
-                  (*means)[q] = mu * y_moments_.sd + y_moments_.mean;
-                  (*variances)[q] = var * y_moments_.sd * y_moments_.sd;
-                }
-              });
 }
 
 }  // namespace dbtune

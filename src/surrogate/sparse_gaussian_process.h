@@ -50,7 +50,9 @@ class SparseGaussianProcess final : public Regressor {
                       double* variance) const override;
   /// Parallelizes the scalar predictive routine over the query batch;
   /// every query writes only its own slot, so the output is bitwise the
-  /// scalar loop's at any pool size.
+  /// scalar loop's at any pool size. Recorded under
+  /// `gp.predict.sparse.batch` (one sample per batch); the scalar entry
+  /// records under `gp.predict.sparse`.
   void PredictMeanVarBatch(const FeatureMatrix& xs,
                            std::vector<double>* means,
                            std::vector<double>* variances) const override;
@@ -105,6 +107,10 @@ class SparseGaussianProcess final : public Regressor {
   /// Fits at the installed hyper-parameters and installs the result.
   Result<double> Refit(const FeatureMatrix& x,
                        const std::vector<double>& y_std);
+  /// The FITC posterior at one query, de-standardized. Shared by the
+  /// scalar and batch entry points; records no metric.
+  void PredictOne(const std::vector<double>& x, double* mean,
+                  double* variance) const;
 
   std::unique_ptr<Kernel> kernel_;
   SparseGaussianProcessOptions options_;

@@ -164,15 +164,19 @@ TEST(ProjectedOptimizerTest, SuggestsValidFullSpaceConfigurations) {
   EXPECT_NE(optimizer.name().find("Projected"), std::string::npos);
 }
 
-TEST(ProjectedOptimizerTest, SessionControlsEnableProjection) {
+TEST(ProjectedOptimizerTest, ProjectedOptimizerDrivesATuningSession) {
   DbmsSimulator sim(WorkloadId::kSysbench, HardwareInstance::kB, 11);
   std::vector<size_t> knob_indices;
   for (size_t i = 0; i < 20; ++i) knob_indices.push_back(i);
-  SessionControls controls;
-  controls.projection_dims = 6;
-  controls.projection_seed = 4;
-  const SessionResult result = RunTuningSession(
-      &sim, knob_indices, OptimizerType::kVanillaBo, 18, 11, controls);
+  TuningEnvironment env(&sim, knob_indices);
+  OptimizerOptions options;
+  options.seed = 11;
+  ProjectionOptions projection;
+  projection.dims = 6;
+  projection.seed = 4;
+  ProjectedOptimizer optimizer(env.space(), options, OptimizerType::kVanillaBo,
+                               projection);
+  const SessionResult result = RunTuningSession(&env, &optimizer, 18);
   ASSERT_EQ(result.improvement_trace.size(), 18u);
   EXPECT_TRUE(std::isfinite(result.final_improvement));
   EXPECT_GE(result.best_iteration, 1u);

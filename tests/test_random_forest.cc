@@ -84,19 +84,6 @@ TEST(RandomForestTest, SplitCountImportanceFindsSignal) {
   }
 }
 
-TEST(RandomForestTest, ImpurityImportanceFindsSignal) {
-  Rng rng(5);
-  std::vector<double> y;
-  const FeatureMatrix x = MakeQuadraticData(&y, 500, 8, rng);
-  RandomForest forest;
-  ASSERT_TRUE(forest.Fit(x, y).ok());
-  const std::vector<double> importance = forest.ImpurityImportance();
-  double signal = importance[0] + importance[1];
-  double noise = 0.0;
-  for (size_t j = 2; j < 8; ++j) noise += importance[j];
-  EXPECT_GT(signal, 3.0 * noise);
-}
-
 TEST(RandomForestTest, DeterministicForSeed) {
   Rng rng(6);
   std::vector<double> y;

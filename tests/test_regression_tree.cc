@@ -45,9 +45,8 @@ TEST(RegressionTreeTest, SplitCountsIdentifyInformativeFeature) {
   ASSERT_TRUE(tree.Fit(x, y).ok());
   const auto& counts = tree.split_counts();
   EXPECT_GE(counts[0], 1u);
-  // The informative feature dominates the impurity importance.
-  const auto& importance = tree.impurity_importance();
-  EXPECT_GT(importance[0], 10.0 * (importance[1] + importance[2] + 1e-12));
+  // The informative feature dominates the split counts.
+  EXPECT_GT(counts[0], counts[1] + counts[2]);
 }
 
 TEST(RegressionTreeTest, ConstantTargetGivesSingleLeaf) {

@@ -12,6 +12,7 @@
 
 #include "core/tuning_session.h"
 #include "dbms/simulator.h"
+#include "obs/metrics.h"
 #include "optimizer/gp_bo.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/sparse_gaussian_process.h"
@@ -119,6 +120,29 @@ TEST(SparseGaussianProcessTest, BatchedPredictMatchesScalarBitwise) {
     EXPECT_EQ(batch_means[q], mean) << "query " << q;
     EXPECT_EQ(batch_vars[q], var) << "query " << q;
   }
+}
+
+TEST(SparseGaussianProcessTest, BatchAndScalarPredictRecordSeparately) {
+  const FeatureMatrix x = MakeInputs(80, 4, 31);
+  const std::vector<double> y = SmoothTargets(x);
+  const FeatureMatrix queries = MakeInputs(300, 4, 37);
+  SparseGaussianProcess gp(std::make_unique<Matern52Kernel>());
+  ASSERT_TRUE(gp.Fit(x, y).ok());
+
+  obs::ScopedMetricsForTest metrics_on;
+  const obs::Histogram& scalar =
+      obs::MetricsRegistry::Get().histogram("gp.predict.sparse");
+  const obs::Histogram& batch =
+      obs::MetricsRegistry::Get().histogram("gp.predict.sparse.batch");
+  // A 300-query batch is one batch sample and no scalar sample.
+  std::vector<double> means, vars;
+  gp.PredictMeanVarBatch(queries, &means, &vars);
+  EXPECT_EQ(batch.count(), 1u);
+  EXPECT_EQ(scalar.count(), 0u);
+  double mean = 0.0, var = 0.0;
+  gp.PredictMeanVar(queries[0], &mean, &var);
+  EXPECT_EQ(batch.count(), 1u);
+  EXPECT_EQ(scalar.count(), 1u);
 }
 
 TEST(SparseGaussianProcessTest, RefitReplacesModel) {
