@@ -2,12 +2,16 @@
 // sparse-tier paths (PERF acceptance: >= 5x on non-hyperopt sequential
 // fits at n = 500, >= 2x on batched acquisition scoring, >= 10x on the
 // sparse fit at n = 10000 against the cubic-extrapolated exact fit).
-// Also times the hyper-parameter grid sweep at 1/2/4 threads.
+// Also times the hyper-parameter grid sweep at 1/2/4 threads and the
+// Cholesky factorization of a GP Gram matrix at n = 130/250/500.
 // Emits JSON lines to stdout and writes them to DBTUNE_BENCH_GP_REPORT
 // (default BENCH_GP.json in the working directory) for CI artifacts.
 // Every row records the effective thread-pool size (`threads`), which
-// honours DBTUNE_NUM_THREADS except on hyperopt_fit rows, and the host's
-// CPU count (`host_cpus`). Quick mode: DBTUNE_BENCH_SCALE below 0.3
+// honours DBTUNE_NUM_THREADS except on hyperopt_fit and cholesky rows,
+// and the load it ran under: the host's CPU count (`host_cpus`), the
+// process CPU seconds the row took (`cpu_s`; the hyperopt_fit rows of
+// one n share the value, their runs interleave) and the 1-minute load
+// average (`load_1m`). Quick mode: DBTUNE_BENCH_SCALE below 0.3
 // shrinks sizes proportionally. DBTUNE_BENCH_SIZES (comma-separated n
 // list, taken literally) overrides the sparse_fit sizes, and
 // DBTUNE_BENCH_EXACT_MAX caps the largest directly-measured exact fit.
@@ -24,6 +28,7 @@
 #include "obs/metrics.h"
 #include "surrogate/gaussian_process.h"
 #include "surrogate/sparse_gaussian_process.h"
+#include "util/matrix.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -115,6 +120,7 @@ void BenchSequentialFits() {
     const size_t n = Effective(full_n, 40);
     const FeatureMatrix x = RandomInputs(n, 20, 101 + full_n);
     const std::vector<double> y = SyntheticTargets(x);
+    const bench::RowLoad load;
     const uint64_t inc_before = IncrementalFitCount();
     const FitRun incremental = TimeSequentialFits(x, y, appends, true);
     const uint64_t inc_fits = IncrementalFitCount() - inc_before;
@@ -123,12 +129,12 @@ void BenchSequentialFits() {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"gp_scaling\",\"task\":\"sequential_fit\",\"n\":%zu,"
-        "\"appends\":%zu,\"threads\":%zu,\"host_cpus\":%zu,"
+        "\"appends\":%zu,\"threads\":%zu,%s,"
         "\"incremental_fits\":%llu,\"full_s\":%.6f,\"incremental_s\":%.6f,"
         "\"speedup\":%.2f,\"identical\":%s}\n",
-        n, appends, ExecutionContext::Get().num_threads(), bench::HostCpus(),
-        static_cast<unsigned long long>(inc_fits), full.seconds,
-        incremental.seconds,
+        n, appends, ExecutionContext::Get().num_threads(),
+        load.Fields().c_str(), static_cast<unsigned long long>(inc_fits),
+        full.seconds, incremental.seconds,
         incremental.seconds > 0.0 ? full.seconds / incremental.seconds : 0.0,
         incremental.final_lml == full.final_lml ? "true" : "false");
     Emit(line);
@@ -136,13 +142,12 @@ void BenchSequentialFits() {
 }
 
 // The hyper-parameter grid sweep (5 lengthscales x 3 noise values) of a
-// fresh exact fit at pool sizes 1/2/4, best of `kReps` each after
-// `kWarmup` untimed rounds. Repetitions cycle through the pool sizes so
-// drift in host speed hits all of them alike; the pool is built before
-// the clock starts. Speedup is against the threads=1 row, the best
-// single-thread baseline: at one thread the sweep's region runs inline
-// with no pool overhead. `identical` compares the installed LML, factor
-// and alpha bitwise against the threads=1 fit.
+// fresh exact fit at pool sizes 1/2/4, interleaved best of `kReps` each
+// after `kWarmup` untimed rounds; the pool is built before the clock
+// starts. Speedup is against the threads=1 row, the best single-thread
+// baseline: at one thread the sweep's region runs inline with no pool
+// overhead. `identical` compares the installed LML, factor and alpha
+// bitwise against the threads=1 fit.
 void BenchHyperoptFit() {
   constexpr int kWarmup = 2;
   constexpr int kReps = 5;
@@ -154,34 +159,33 @@ void BenchHyperoptFit() {
     const size_t n = Effective(full_n, 40);
     const FeatureMatrix x = RandomInputs(n, 20, 401 + full_n);
     const std::vector<double> y = SyntheticTargets(x);
-    std::vector<double> best_s(pool_sizes.size(), 0.0);
+    const bench::RowLoad load;
     std::vector<std::vector<double>> fits(pool_sizes.size());
-    for (int rep = -kWarmup; rep < kReps; ++rep) {
-      for (size_t p = 0; p < pool_sizes.size(); ++p) {
-        ExecutionContext::Get().SetNumThreads(pool_sizes[p]);
-        GlobalPool();
-        GaussianProcess gp(std::make_unique<Matern52Kernel>());
-        const double start = obs::MonotonicSeconds();
-        if (!gp.Fit(x, y).ok()) {
-          std::fprintf(stderr, "hyperopt fit failed\n");
-          std::exit(1);
-        }
-        const double seconds = obs::MonotonicSeconds() - start;
-        if (rep < 0) continue;
-        if (rep == 0 || seconds < best_s[p]) best_s[p] = seconds;
-        fits[p] = gp.cholesky_factor().data();
-        fits[p].insert(fits[p].end(), gp.alpha().begin(), gp.alpha().end());
-        fits[p].push_back(gp.log_marginal_likelihood());
-      }
-    }
+    const std::vector<double> best_s = bench::InterleavedBestOf(
+        pool_sizes.size(), kWarmup, kReps, [&](size_t p) {
+          ExecutionContext::Get().SetNumThreads(pool_sizes[p]);
+          GlobalPool();
+          GaussianProcess gp(std::make_unique<Matern52Kernel>());
+          const double start = obs::MonotonicSeconds();
+          if (!gp.Fit(x, y).ok()) {
+            std::fprintf(stderr, "hyperopt fit failed\n");
+            std::exit(1);
+          }
+          const double seconds = obs::MonotonicSeconds() - start;
+          fits[p] = gp.cholesky_factor().data();
+          fits[p].insert(fits[p].end(), gp.alpha().begin(), gp.alpha().end());
+          fits[p].push_back(gp.log_marginal_likelihood());
+          return seconds;
+        });
+    const std::string load_fields = load.Fields();
     for (size_t p = 0; p < pool_sizes.size(); ++p) {
       char line[512];
       std::snprintf(
           line, sizeof(line),
           "{\"bench\":\"gp_scaling\",\"task\":\"hyperopt_fit\",\"n\":%zu,"
-          "\"grid\":%zu,\"threads\":%zu,\"host_cpus\":%zu,\"fit_s\":%.6f,"
+          "\"grid\":%zu,\"threads\":%zu,%s,\"fit_s\":%.6f,"
           "\"baseline_s\":%.6f,\"speedup\":%.2f,\"identical\":%s}\n",
-          n, grid, pool_sizes[p], bench::HostCpus(), best_s[p], best_s[0],
+          n, grid, pool_sizes[p], load_fields.c_str(), best_s[p], best_s[0],
           best_s[p] > 0.0 ? best_s[0] / best_s[p] : 0.0,
           fits[p] == fits[0] ? "true" : "false");
       Emit(line);
@@ -190,12 +194,54 @@ void BenchHyperoptFit() {
   ExecutionContext::Get().SetNumThreads(original);
 }
 
-void BenchBatchedPredict() {
+// One Cholesky factorization of a Matérn Gram matrix (d = 20, noise
+// 1e-2) at one thread, best of `kReps` after `kWarmup` untimed rounds;
+// the copy of the input stays off the clock. The factorization is serial
+// at any pool size; this row tracks its single-thread speed.
+void BenchCholesky() {
+  constexpr int kWarmup = 2;
+  constexpr int kReps = 7;
+  Matern52Kernel kernel;
+  kernel.set_lengthscale(0.4);
+  for (size_t full_n : {130u, 250u, 500u}) {
+    const size_t n = Effective(full_n, 40);
+    const FeatureMatrix x = RandomInputs(n, 20, 503 + full_n);
+    Matrix gram(n, n);
+    for (size_t i = 0; i < n; ++i) {
+      kernel.ComputeBlock(x[i], x.data(), n, kernel.lengthscale(),
+                          gram.RowPtr(i));
+    }
+    gram.AddDiagonal(1e-2);
+    const bench::RowLoad load;
+    Matrix factor;
+    const double factor_s =
+        bench::InterleavedBestOf(1, kWarmup, kReps, [&](size_t) {
+          factor = gram;
+          const double start = obs::MonotonicSeconds();
+          if (!CholeskyFactorize(&factor).ok()) {
+            std::fprintf(stderr, "cholesky failed\n");
+            std::exit(1);
+          }
+          return obs::MonotonicSeconds() - start;
+        })[0];
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "{\"bench\":\"gp_scaling\",\"task\":\"cholesky\","
+                  "\"n\":%zu,\"threads\":1,%s,\"factor_s\":%.6f}\n",
+                  n, load.Fields().c_str(), factor_s);
+    Emit(line);
+  }
+}
+
+// Acquisition scoring of `num_queries` candidates in `d` dimensions: the
+// per-candidate loop against one batched call, results compared bitwise.
+void BenchBatchedPredict(size_t d) {
   const size_t n = Effective(500, 40);
   const size_t num_queries = Effective(2000, 200);
-  const FeatureMatrix x = RandomInputs(n, 20, 211);
+  const FeatureMatrix x = RandomInputs(n, d, 211);
   const std::vector<double> y = SyntheticTargets(x);
-  const FeatureMatrix queries = RandomInputs(num_queries, 20, 223);
+  const FeatureMatrix queries = RandomInputs(num_queries, d, 223);
+  const bench::RowLoad load;
   GaussianProcess gp(std::make_unique<Matern52Kernel>());
   if (!gp.Fit(x, y).ok()) {
     std::fprintf(stderr, "fit failed\n");
@@ -221,11 +267,11 @@ void BenchBatchedPredict() {
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"gp_scaling\",\"task\":\"batched_predict\",\"n\":%zu,"
-      "\"queries\":%zu,\"threads\":%zu,\"host_cpus\":%zu,"
+      "\"d\":%zu,\"queries\":%zu,\"threads\":%zu,%s,"
       "\"scalar_s\":%.6f,\"batch_s\":%.6f,\"speedup\":%.2f,"
       "\"identical\":%s}\n",
-      n, num_queries, ExecutionContext::Get().num_threads(),
-      bench::HostCpus(), scalar_s, batch_s,
+      n, d, num_queries, ExecutionContext::Get().num_threads(),
+      load.Fields().c_str(), scalar_s, batch_s,
       batch_s > 0.0 ? scalar_s / batch_s : 0.0,
       identical ? "true" : "false");
   Emit(line);
@@ -327,6 +373,7 @@ void BenchSparseFit() {
   const double cal_s = TimeExactFit(cal_x, SyntheticTargets(cal_x));
 
   for (size_t n : sizes) {
+    const bench::RowLoad load;
     const FeatureMatrix x = RandomInputs(n, d, 311 + n);
     const std::vector<double> y = SyntheticTargets(x);
     const FeatureMatrix queries = RandomInputs(32, d, 313);
@@ -360,11 +407,11 @@ void BenchSparseFit() {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"gp_scaling\",\"task\":\"sparse_fit\",\"n\":%zu,"
-        "\"m\":%zu,\"threads\":%zu,\"host_cpus\":%zu,\"sparse_s\":%.6f,"
+        "\"m\":%zu,\"threads\":%zu,%s,\"sparse_s\":%.6f,"
         "\"exact_s\":%.6f,\"exact_mode\":\"%s\",\"speedup_vs_exact\":%.2f,"
         "\"identical\":%s}\n",
         n, gp.num_inducing(), ExecutionContext::Get().num_threads(),
-        bench::HostCpus(), sparse_s, exact_s, exact_mode,
+        load.Fields().c_str(), sparse_s, exact_s, exact_mode,
         sparse_s > 0.0 ? exact_s / sparse_s : 0.0,
         identical ? "true" : "false");
     Emit(line);
@@ -391,16 +438,19 @@ int main() {
   dbtune::bench::Banner("GP incremental-fit, batched-predict, and sparse-"
                         "tier scaling",
                         "sequential BO fits at n in {100,250,500}, d=20; "
-                        "acquisition scoring of 2000 candidates at n=500; "
+                        "acquisition scoring of 2000 candidates at n=500, "
+                        "d in {20,197}; "
                         "hyperopt grid sweeps at n in {250,500} on 1/2/4 "
-                        "threads; "
+                        "threads; Cholesky at n in {130,250,500}; "
                         "sparse (FITC) fits at n in {10k,30k,100k}");
   // The incremental-fit counter proves the bordered-append path actually
   // ran (the identity check alone would also pass on silent fallback).
   dbtune::obs::SetMetricsEnabled(true);
   dbtune::BenchSequentialFits();
-  dbtune::BenchBatchedPredict();
+  dbtune::BenchBatchedPredict(20);
+  dbtune::BenchBatchedPredict(197);
   dbtune::BenchHyperoptFit();
+  dbtune::BenchCholesky();
   dbtune::BenchSparseFit();
   dbtune::WriteReportFile();
   return 0;

@@ -6,6 +6,8 @@
 // (default 0.3) so the full suite runs in minutes on a laptop; set
 // DBTUNE_BENCH_SCALE=1 to replicate the paper's iteration counts exactly.
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +61,63 @@ inline int ScaledRuns(int paper_runs) {
 inline size_t HostCpus() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+/// User plus system CPU seconds this process has consumed so far.
+inline double ProcessCpuSeconds() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// The host's 1-minute load average (-1 when unavailable).
+inline double LoadAverage1m() {
+  double load[1];
+  return getloadavg(load, 1) == 1 ? load[0] : -1.0;
+}
+
+/// The load a bench row was measured under, started when the row's work
+/// starts: `Fields()` renders `"host_cpus":N,"cpu_s":S,"load_1m":L` with
+/// the process CPU seconds spent since then. A row whose CPU seconds fall
+/// well short of its threads times its wall seconds, or whose load
+/// exceeds `host_cpus`, ran on a contended host.
+class RowLoad {
+ public:
+  RowLoad() : cpu_start_(ProcessCpuSeconds()) {}
+
+  std::string Fields() const {
+    char fields[128];
+    std::snprintf(fields, sizeof(fields),
+                  "\"host_cpus\":%zu,\"cpu_s\":%.4f,\"load_1m\":%.2f",
+                  HostCpus(), ProcessCpuSeconds() - cpu_start_,
+                  LoadAverage1m());
+    return fields;
+  }
+
+ private:
+  double cpu_start_;
+};
+
+/// Best-of-`reps` seconds for each of `variants`, after `warmup` untimed
+/// rounds. Repetitions cycle through the variants, so drift in host speed
+/// hits all of them alike. `run(v)` does variant v's work once and returns
+/// the seconds it measured, keeping its own setup off the clock.
+template <typename Run>
+std::vector<double> InterleavedBestOf(size_t variants, int warmup, int reps,
+                                      Run run) {
+  std::vector<double> best(variants, 0.0);
+  for (int rep = -warmup; rep < reps; ++rep) {
+    for (size_t v = 0; v < variants; ++v) {
+      const double seconds = run(v);
+      if (rep < 0) continue;
+      if (rep == 0 || seconds < best[v]) best[v] = seconds;
+    }
+  }
+  return best;
 }
 
 /// Prints the standard bench banner.

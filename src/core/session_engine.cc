@@ -18,6 +18,7 @@ void SessionEngine::Start(Optimizer* optimizer, double reference_score) {
   store_ = nullptr;
   recovered_.clear();
   pending_.reset();
+  metrics_arity_.reset();
   observed_ = replayed_ = 0;
 }
 
@@ -127,6 +128,18 @@ Status SessionEngine::Observe(const Observation& observation,
         "observation must be finite and match the session space dimension " +
         std::to_string(optimizer_->space().dimension()));
   }
+  // An out-of-domain knob or a metrics vector of another length would be
+  // WAL-appended and replayed into every resurrection.
+  const Status in_domain = optimizer_->space().Validate(observation.config);
+  if (!in_domain.ok()) return Status::InvalidArgument(in_domain.message());
+  if (metrics_arity_.has_value() &&
+      observation.internal_metrics.size() != *metrics_arity_) {
+    return Status::InvalidArgument(
+        "observation carries " +
+        std::to_string(observation.internal_metrics.size()) +
+        " internal metrics; the session's first carried " +
+        std::to_string(*metrics_arity_));
+  }
   // Durable append before the optimizer learns: a crash between the two
   // re-learns from the WAL on resume.
   if (recorded() != nullptr) {
@@ -143,6 +156,9 @@ Status SessionEngine::Observe(const Observation& observation,
                                    observation.internal_metrics);
   }
   observe_s_ = obs::MonotonicSeconds() - observe_start;
+  if (!metrics_arity_.has_value()) {
+    metrics_arity_ = observation.internal_metrics.size();
+  }
   ++observed_;
   pending_.reset();
   issued_ = false;

@@ -68,9 +68,11 @@ class SessionEngine {
   /// else null.
   const Observation* recorded() const;
 
-  /// Rejects a wrong-dimension or non-finite outcome (InvalidArgument),
-  /// WAL-appends it unless replayed, lets the optimizer learn and runs
-  /// the hooks. `env` (nullable) supplies the best-so-far standing.
+  /// Rejects a wrong-dimension, non-finite or out-of-domain outcome, and
+  /// one whose internal-metrics length differs from the session's first
+  /// observation (InvalidArgument); WAL-appends it unless replayed, lets
+  /// the optimizer learn and runs the hooks. `env` (nullable) supplies
+  /// the best-so-far standing.
   [[nodiscard]] Status Observe(const Observation& observation,
                                const TuningEnvironment* env = nullptr);
 
@@ -97,6 +99,8 @@ class SessionEngine {
   /// Drawn and not yet observed; `issued_` once Suggest handed it out.
   std::optional<Configuration> pending_;
   bool issued_ = false;
+  /// Internal-metrics length of the session's first observation.
+  std::optional<size_t> metrics_arity_;
   size_t observed_ = 0;
   size_t replayed_ = 0;
   double suggest_end_ = 0.0;

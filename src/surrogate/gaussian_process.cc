@@ -25,17 +25,16 @@ void GaussianProcess::AssembleKernelMatrix(double lengthscale,
   const size_t n = x_.size();
   if (k->rows() != n || k->cols() != n) *k = Matrix(n, n);
   Matrix& out = *k;
-  // Row i fills k(i, i..n) and mirrors into k(i..n, i): each (i, j) pair
-  // is owned by exactly one i, so rows parallelize without overlap and
-  // every entry is written (a reused buffer needs no clearing). The small
-  // grain compensates for the triangular (shrinking) row cost.
+  // Row i fills k(i, i..n) in one kernel block and mirrors it into
+  // k(i..n, i): each (i, j) pair is owned by exactly one i, so rows
+  // parallelize without overlap and every entry is written (a reused
+  // buffer needs no clearing). The small grain compensates for the
+  // triangular (shrinking) row cost.
   ParallelFor(GlobalPool(), 0, n, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i; j < n; ++j) {
-        const double v = kernel_->Compute(x_[i], x_[j], lengthscale);
-        out(i, j) = v;
-        out(j, i) = v;
-      }
+      double* row_i = out.RowPtr(i);
+      kernel_->ComputeBlock(x_[i], &x_[i], n - i, lengthscale, row_i + i);
+      for (size_t j = i + 1; j < n; ++j) out.RowPtr(j)[i] = row_i[j];
     }
   });
 }
@@ -79,33 +78,20 @@ Result<double> GaussianProcess::FitIncremental(size_t old_n) {
     std::memcpy(l.RowPtr(r), chol_.RowPtr(r), old_n * sizeof(double));
   }
   const double diagonal_jitter = noise_ + 1e-10;  // AddDiagonal's addend
+  const double lengthscale = kernel_->lengthscale();
   for (size_t i = old_n; i < n; ++i) {
     double* row_i = l.RowPtr(i);
-    // Border of the Gram matrix: k(j, i) for j < i, computed in the
-    // argument order the full assembly uses (row j owns pair (j, i)), so
-    // the appended values are bitwise those of a from-scratch build.
-    ParallelFor(GlobalPool(), 0, i, /*grain=*/64,
+    // Border of the Gram matrix: k(i, j) for j <= i, the values a
+    // from-scratch assembly computes (kernels are bitwise symmetric).
+    ParallelFor(GlobalPool(), 0, i + 1, /*grain=*/64,
                 [&](size_t begin, size_t end) {
-                  for (size_t j = begin; j < end; ++j) {
-                    row_i[j] = kernel_->Compute(x_[j], x_[i]);
-                  }
+                  kernel_->ComputeBlock(x_[i], &x_[begin], end - begin,
+                                        lengthscale, row_i + begin);
                 });
-    row_i[i] = kernel_->Compute(x_[i], x_[i]) + diagonal_jitter;
-    // Forward-solve the new row against the existing factor; identical
-    // inner-loop order to CholeskyFactorize, so the extended factor is
-    // bitwise what a full refactorization would produce.
-    for (size_t j = 0; j < i; ++j) {
-      const double* row_j = l.RowPtr(j);
-      double s = row_i[j];
-      for (size_t k = 0; k < j; ++k) s -= row_i[k] * row_j[k];
-      row_i[j] = s / row_j[j];
-    }
-    double d = row_i[i];
-    for (size_t k = 0; k < i; ++k) d -= row_i[k] * row_i[k];
-    if (d <= 0.0 || !std::isfinite(d)) {
-      return Status::Internal("matrix is not positive definite");
-    }
-    row_i[i] = std::sqrt(d);
+    row_i[i] += diagonal_jitter;
+    // Forward-solve the new row against the existing factor: bitwise
+    // what a full refactorization would produce.
+    DBTUNE_RETURN_IF_ERROR(CholeskyAppendRow(&l, i));
   }
 
   // Targets are re-standardized every fit, so alpha and the LML are
@@ -259,11 +245,11 @@ void GaussianProcess::PredictMeanVar(const std::vector<double>& x,
   static thread_local std::vector<double> v;
   k_star.resize(n);
   double* const k_star_out = k_star.data();
+  const double lengthscale = kernel_->lengthscale();
   ParallelFor(GlobalPool(), 0, n, /*grain=*/64,
               [&, k_star_out](size_t begin, size_t end) {
-                for (size_t i = begin; i < end; ++i) {
-                  k_star_out[i] = kernel_->Compute(x_[i], x);
-                }
+                kernel_->ComputeBlock(x, &x_[begin], end - begin,
+                                      lengthscale, k_star_out + begin);
               });
 
   double mu = Dot(k_star, alpha_);
@@ -287,51 +273,49 @@ void GaussianProcess::PredictMeanVarBatch(
   means->resize(xs.size());
   variances->resize(xs.size());
   // Queries are processed in blocks of kBlock as a multi-RHS triangular
-  // solve: K* and V are laid out i-major (query-minor), so each factor
-  // row is streamed once per block and the innermost loops run across the
-  // block's independent accumulators (SIMD-friendly without FP
-  // reassociation). Every query keeps the scalar path's summation order
+  // solve on an i-major (query-minor) buffer, so the innermost loops run
+  // across the block's independent queries (SIMD-friendly without FP
+  // reassociation). Every query keeps the scalar path's operation order
   // exactly — k ascending in the solve, i ascending in the dots — so
   // results are bitwise equal to PredictMeanVar at any pool size.
   constexpr size_t kBlock = 16;
+  const double lengthscale = kernel_->lengthscale();
+  const double* const l = n > 0 ? chol_.RowPtr(0) : nullptr;  // L(i, k)
   ParallelFor(
       GlobalPool(), 0, xs.size(), /*grain=*/kBlock,
       [&](size_t begin, size_t end) {
-        std::vector<double> k_block(n * kBlock);  // K*(i, r), i-major
-        std::vector<double> v_block(n * kBlock);  // (L^-1 K*)(i, r), i-major
+        std::vector<double> w(n * kBlock);  // K*(i, r), then (L^-1 K*)(i, r)
         for (size_t b = begin; b < end; b += kBlock) {
           const size_t m = std::min(kBlock, end - b);
           for (size_t i = 0; i < n; ++i) {
-            double* ki = k_block.data() + i * m;
-            for (size_t r = 0; r < m; ++r) {
-              ki[r] = kernel_->Compute(x_[i], xs[b + r]);
-            }
-          }
-          double acc[kBlock];
-          for (size_t i = 0; i < n; ++i) {
-            const double* lrow = chol_.RowPtr(i);
-            const double* ki = k_block.data() + i * m;
-            for (size_t r = 0; r < m; ++r) acc[r] = ki[r];
-            for (size_t k = 0; k < i; ++k) {
-              const double lik = lrow[k];
-              const double* vk = v_block.data() + k * m;
-              for (size_t r = 0; r < m; ++r) acc[r] -= lik * vk[r];
-            }
-            double* vi = v_block.data() + i * m;
-            const double diag = lrow[i];
-            for (size_t r = 0; r < m; ++r) vi[r] = acc[r] / diag;
+            kernel_->ComputeBlock(x_[i], &xs[b], m, lengthscale,
+                                  w.data() + i * m);
           }
           double mu[kBlock], vv[kBlock];
           for (size_t r = 0; r < m; ++r) mu[r] = 0.0;
+          for (size_t i = 0; i < n; ++i) {
+            const double* ki = w.data() + i * m;
+            const double ai = alpha_[i];
+            for (size_t r = 0; r < m; ++r) mu[r] += ki[r] * ai;
+          }
+          // Right-looking forward solve in place: row k of V is final
+          // once divided by L(k, k), and then updates every row below it.
+          // Each entry still subtracts its terms k ascending and divides
+          // last, while no update waits on the one before it.
+          for (size_t k = 0; k < n; ++k) {
+            double* vk = w.data() + k * m;
+            const double diag = l[k * n + k];
+            for (size_t r = 0; r < m; ++r) vk[r] /= diag;
+            for (size_t i = k + 1; i < n; ++i) {
+              const double lik = l[i * n + k];
+              double* wi = w.data() + i * m;
+              for (size_t r = 0; r < m; ++r) wi[r] -= lik * vk[r];
+            }
+          }
           for (size_t r = 0; r < m; ++r) vv[r] = 0.0;
           for (size_t i = 0; i < n; ++i) {
-            const double* ki = k_block.data() + i * m;
-            const double* vi = v_block.data() + i * m;
-            const double ai = alpha_[i];
-            for (size_t r = 0; r < m; ++r) {
-              mu[r] += ki[r] * ai;
-              vv[r] += vi[r] * vi[r];
-            }
+            const double* vi = w.data() + i * m;
+            for (size_t r = 0; r < m; ++r) vv[r] += vi[r] * vi[r];
           }
           for (size_t r = 0; r < m; ++r) {
             const std::vector<double>& xq = xs[b + r];

@@ -1,6 +1,7 @@
 #ifndef DBTUNE_SURROGATE_KERNELS_H_
 #define DBTUNE_SURROGATE_KERNELS_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,10 +23,21 @@ class Kernel {
 
   /// k(a, b) at an explicit `lengthscale`. Reads no mutable state, so a
   /// hyper-parameter sweep can evaluate grid points concurrently without
-  /// installing them.
+  /// installing them. Every kernel here is symmetric bit for bit (a
+  /// dimension's difference enters only squared or through its absolute
+  /// value), so callers may order a pair either way.
   virtual double Compute(const std::vector<double>& a,
                          const std::vector<double>& b,
                          double lengthscale) const = 0;
+
+  /// out[r] = Compute(a, bs[r], lengthscale) for r < m, bit for bit: one
+  /// row of a Gram matrix or a K* block in one call. The kernels below
+  /// override it to run several pairs' per-dimension sums side by side,
+  /// one accumulator per pair, without reordering any sum; this default
+  /// loops over Compute.
+  virtual void ComputeBlock(const std::vector<double>& a,
+                            const std::vector<double>* bs, size_t m,
+                            double lengthscale, double* out) const;
 
   /// Shared lengthscale hyper-parameter (tuned by the GP via grid search;
   /// only the winning grid point is installed).
@@ -46,6 +58,9 @@ class RbfKernel final : public Kernel {
   using Kernel::Compute;
   double Compute(const std::vector<double>& a, const std::vector<double>& b,
                  double lengthscale) const override;
+  void ComputeBlock(const std::vector<double>& a,
+                    const std::vector<double>* bs, size_t m,
+                    double lengthscale, double* out) const override;
   std::string name() const override { return "RBF"; }
 };
 
@@ -56,6 +71,9 @@ class Matern52Kernel final : public Kernel {
   using Kernel::Compute;
   double Compute(const std::vector<double>& a, const std::vector<double>& b,
                  double lengthscale) const override;
+  void ComputeBlock(const std::vector<double>& a,
+                    const std::vector<double>* bs, size_t m,
+                    double lengthscale, double* out) const override;
   std::string name() const override { return "Matern52"; }
 };
 
@@ -66,6 +84,9 @@ class HammingKernel final : public Kernel {
   using Kernel::Compute;
   double Compute(const std::vector<double>& a, const std::vector<double>& b,
                  double lengthscale) const override;
+  void ComputeBlock(const std::vector<double>& a,
+                    const std::vector<double>* bs, size_t m,
+                    double lengthscale, double* out) const override;
   std::string name() const override { return "Hamming"; }
 };
 
@@ -79,10 +100,14 @@ class MixedKernel final : public Kernel {
   using Kernel::Compute;
   double Compute(const std::vector<double>& a, const std::vector<double>& b,
                  double lengthscale) const override;
+  void ComputeBlock(const std::vector<double>& a,
+                    const std::vector<double>* bs, size_t m,
+                    double lengthscale, double* out) const override;
   std::string name() const override { return "Mixed"; }
 
  private:
   std::vector<bool> is_categorical_;
+  size_t num_categorical_;
 };
 
 }  // namespace dbtune

@@ -92,11 +92,9 @@ Status SparseGaussianProcess::PrepareLengthscale(
   Matrix& kmm = state->kmm;
   ParallelFor(GlobalPool(), 0, m, /*grain=*/8, [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
-      for (size_t k = j; k < m; ++k) {
-        const double v = kernel_->Compute(xm_[j], xm_[k], lengthscale);
-        kmm(j, k) = v;
-        kmm(k, j) = v;
-      }
+      double* row_j = kmm.RowPtr(j);
+      kernel_->ComputeBlock(xm_[j], &xm_[j], m - j, lengthscale, row_j + j);
+      for (size_t k = j + 1; k < m; ++k) kmm.RowPtr(k)[j] = row_j[k];
     }
   });
   state->lm = kmm;
@@ -119,9 +117,7 @@ Status SparseGaussianProcess::PrepareLengthscale(
     std::vector<double> sol;
     for (size_t i = begin; i < end; ++i) {
       double* knm_row = state->knm.RowPtr(i);
-      for (size_t j = 0; j < m; ++j) {
-        knm_row[j] = kernel_->Compute(x[i], xm_[j], lengthscale);
-      }
+      kernel_->ComputeBlock(x[i], xm_.data(), m, lengthscale, knm_row);
       state->kdiag[i] = kernel_->Compute(x[i], x[i], lengthscale);
       std::copy(knm_row, knm_row + m, row.begin());
       SolveLowerTriangularInto(lm, row, &sol);
@@ -348,7 +344,8 @@ void SparseGaussianProcess::PredictOne(const std::vector<double>& x,
   static thread_local std::vector<double> w;
   const size_t m = xm_.size();
   k_m.resize(m);
-  for (size_t j = 0; j < m; ++j) k_m[j] = kernel_->Compute(xm_[j], x);
+  kernel_->ComputeBlock(x, xm_.data(), m, kernel_->lengthscale(),
+                        k_m.data());
 
   const double mu = Dot(k_m, alpha_);
   SolveLowerTriangularInto(lm_, k_m, &v);

@@ -56,8 +56,15 @@ class Matrix {
 
 /// In-place Cholesky factorization of a symmetric positive-definite matrix.
 /// On success `*a` holds the lower-triangular factor L (upper part zeroed).
-/// Fails with Internal status when the matrix is not positive definite.
+/// Fails with Internal status, naming the first column whose pivot is not
+/// a positive finite number, when the matrix is not positive definite.
 [[nodiscard]] Status CholeskyFactorize(Matrix* a);
+
+/// Bordered Cholesky append: rows [0, i) of `*l` hold a finished factor
+/// and row i holds A(i, 0..i). Replaces row i by the factor's row i (the
+/// part past the diagonal zeroed), bitwise what `CholeskyFactorize`
+/// computes for it. Fails like `CholeskyFactorize` at a bad pivot.
+[[nodiscard]] Status CholeskyAppendRow(Matrix* l, size_t i);
 
 /// Solves L * x = b for lower-triangular L (forward substitution).
 std::vector<double> SolveLowerTriangular(const Matrix& l,

@@ -29,8 +29,15 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard normal sample scaled to N(mean, stddev^2).
+  /// Standard normal sample scaled to N(mean, stddev^2). A zero stddev
+  /// returns `mean` and still consumes the engine exactly as any other
+  /// stddev does, so a noise-free caller keeps the stream aligned.
   double Gaussian(double mean = 0.0, double stddev = 1.0) {
+    if (stddev == 0.0) {
+      std::normal_distribution<double> unit(0.0, 1.0);
+      unit(engine_);
+      return mean;
+    }
     std::normal_distribution<double> dist(mean, stddev);
     return dist(engine_);
   }

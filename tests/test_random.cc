@@ -60,6 +60,16 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+TEST(RngTest, GaussianZeroStddevReturnsMeanAndKeepsTheStream) {
+  Rng noise_free(17), noisy(17);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(noise_free.Gaussian(3.5, 0.0), 3.5);
+    noisy.Gaussian(3.5, 1.0);
+  }
+  // Both engines advanced by the same draws.
+  EXPECT_EQ(noise_free.Uniform(), noisy.Uniform());
+}
+
 TEST(RngTest, BernoulliProbability) {
   Rng rng(13);
   int hits = 0;

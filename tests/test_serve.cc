@@ -605,6 +605,55 @@ TEST(ServeStoreTest, CloseSealsTrajectoryAsTransferTask) {
   EXPECT_TRUE(stored->finished);
 }
 
+TEST(ServeStoreTest, OutOfDomainObservationIsRejectedBeforeTheWal) {
+  const std::string path = ServeStorePath("out_of_domain");
+  auto opened = ObservationStore::Open(path);
+  ASSERT_TRUE(opened.ok());
+  ObservationStore* store = opened.value().get();
+
+  SessionManagerOptions options;
+  options.store = store;
+  SessionManager manager(options);
+  manager.RegisterSpace("small", SmallSpace());
+  ASSERT_TRUE(manager.CreateSession("guarded", SmallOptions(13)).ok());
+  Result<Configuration> suggested = manager.Suggest("guarded");
+  ASSERT_TRUE(suggested.ok());
+  Observation first;
+  first.config = *suggested;
+  first.score = 10.0;
+  first.internal_metrics = {0.5, 0.25, 1.0};
+  ASSERT_TRUE(manager.Observe("guarded", first).ok());
+
+  suggested = manager.Suggest("guarded");
+  ASSERT_TRUE(suggested.ok());
+  const uint64_t lsn_before = store->stats().last_lsn;
+  // A knob far outside its domain, finite and of the right arity.
+  Observation huge_knob;
+  huge_knob.config = *suggested;
+  huge_knob.config[0] = 1e12;
+  huge_knob.score = 11.0;
+  huge_knob.internal_metrics = first.internal_metrics;
+  EXPECT_EQ(manager.Observe("guarded", huge_knob).code(),
+            StatusCode::kInvalidArgument);
+  // Internal metrics of another length than the first observation's.
+  Observation short_metrics;
+  short_metrics.config = *suggested;
+  short_metrics.score = 11.0;
+  short_metrics.internal_metrics = {0.5, 0.25};
+  EXPECT_EQ(manager.Observe("guarded", short_metrics).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store->stats().last_lsn, lsn_before);
+  EXPECT_EQ(store->FindSession("guarded")->observations.size(), 1u);
+
+  // The session keeps serving: the outstanding suggestion still takes a
+  // valid outcome, and the next round follows.
+  Observation valid = huge_knob;
+  valid.config = *suggested;
+  ASSERT_TRUE(manager.Observe("guarded", valid).ok());
+  EXPECT_EQ(store->FindSession("guarded")->observations.size(), 2u);
+  EXPECT_TRUE(manager.Suggest("guarded").ok());
+}
+
 // ---------------------------------------------------------------------------
 // Protocol framing.
 
