@@ -212,13 +212,14 @@ TaskResult TimeRfFit(const FeatureMatrix& x, const std::vector<double>& y,
 }
 
 // One full BO iteration (surrogate fit + acquisition maximization) on a
-// 200-observation history — the per-iteration wall clock that Figure 9
-// tracks, for the optimizer `type`. `suggest_histogram` names the
-// optimizer's instrumented suggest histogram for the phase breakdown.
+// 200-observation history over `space` — the per-iteration wall clock
+// that Figure 9 tracks, for the optimizer `type`. `suggest_histogram`
+// names the optimizer's instrumented suggest histogram for the phase
+// breakdown.
 TaskResult TimeBoIteration(OptimizerType type,
                            const std::string& suggest_histogram,
+                           const ConfigurationSpace& space,
                            const std::vector<Observation>& observations) {
-  const ConfigurationSpace& space = MediumSpace();
   OptimizerOptions options;
   options.seed = 7;
   options.initial_design = 0;
@@ -307,6 +308,14 @@ void RunThreadScalingReport() {
   for (const Configuration& c : LatinHypercubeSample(MediumSpace(), 200, rng)) {
     observations.push_back(env.Evaluate(c));
   }
+  // The same history size on the full 197-knob catalog, where SMAC's
+  // local search probes cover ten times the dimensions.
+  TuningEnvironment full_env(&sim);
+  std::vector<Observation> full_observations;
+  for (const Configuration& c :
+       LatinHypercubeSample(full_env.space(), 200, rng)) {
+    full_observations.push_back(full_env.Evaluate(c));
+  }
 
   struct Task {
     const char* name;
@@ -318,12 +327,20 @@ void RunThreadScalingReport() {
       {"bo_iteration_vanilla_bo",
        [&] {
          return TimeBoIteration(OptimizerType::kVanillaBo,
-                                "optimizer.suggest.gp_bo", observations);
+                                "optimizer.suggest.gp_bo", MediumSpace(),
+                                observations);
        }},
       {"bo_iteration_smac",
        [&] {
          return TimeBoIteration(OptimizerType::kSmac,
-                                "optimizer.suggest.smac", observations);
+                                "optimizer.suggest.smac", MediumSpace(),
+                                observations);
+       }},
+      {"bo_iteration_smac_197",
+       [&] {
+         return TimeBoIteration(OptimizerType::kSmac,
+                                "optimizer.suggest.smac", full_env.space(),
+                                full_observations);
        }},
   };
 

@@ -63,9 +63,13 @@ std::vector<double> ConfigurationSpace::SnapUnit(
   DBTUNE_CHECK(unit.size() == knobs_.size());
   std::vector<double> snapped(knobs_.size());
   for (size_t i = 0; i < knobs_.size(); ++i) {
-    snapped[i] = knobs_[i].Encode(knobs_[i].Decode(unit[i]));
+    snapped[i] = SnapUnitAt(i, unit[i]);
   }
   return snapped;
+}
+
+double ConfigurationSpace::SnapUnitAt(size_t i, double u) const {
+  return knobs_[i].Encode(knobs_[i].Decode(u));
 }
 
 Configuration ConfigurationSpace::Clip(const Configuration& config) const {

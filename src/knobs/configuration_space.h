@@ -47,6 +47,10 @@ class ConfigurationSpace {
   /// without materializing the intermediate Configuration.
   std::vector<double> SnapUnit(const std::vector<double>& unit) const;
 
+  /// Coordinate `i` of `SnapUnit`: snaps one unit value of knob `i`. A
+  /// caller that changes one coordinate re-snaps just that one.
+  double SnapUnitAt(size_t i, double u) const;
+
   /// Clamps every value into its knob's domain.
   Configuration Clip(const Configuration& config) const;
 

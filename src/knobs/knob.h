@@ -69,12 +69,20 @@ class Knob {
  private:
   Knob() = default;
 
+  /// Sets `log_scale_` and, when set, the cached log bounds.
+  void SetLogScale(bool log_scale);
+
   std::string name_;
   KnobType type_ = KnobType::kContinuous;
   double min_ = 0.0;
   double max_ = 1.0;
   double default_value_ = 0.0;
   bool log_scale_ = false;
+  // log(min) and log(max) - log(min), computed once when a log-scaled
+  // knob is built; Encode/Decode read them instead of calling std::log
+  // per value (same libm calls on the same inputs, so same bits).
+  double log_min_ = 0.0;
+  double log_range_ = 0.0;
   std::vector<std::string> categories_;
 };
 

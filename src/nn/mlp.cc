@@ -36,6 +36,39 @@ double ActivateGrad(Activation a, double pre, double post) {
   return 1.0;
 }
 
+// pre = W x + b for a row-major out×in W. Four outputs run side by side,
+// one accumulator each: every output still sums its bias first, then
+// i ascending, so the bits match a one-output loop while the four
+// independent chains share each x[i] load.
+void Affine(const double* w, const double* b, size_t in, size_t out,
+            const double* x, double* pre) {
+  size_t o = 0;
+  for (; o + 4 <= out; o += 4) {
+    const double* r0 = w + o * in;
+    const double* r1 = r0 + in;
+    const double* r2 = r1 + in;
+    const double* r3 = r2 + in;
+    double a0 = b[o], a1 = b[o + 1], a2 = b[o + 2], a3 = b[o + 3];
+    for (size_t i = 0; i < in; ++i) {
+      const double xi = x[i];
+      a0 += r0[i] * xi;
+      a1 += r1[i] * xi;
+      a2 += r2[i] * xi;
+      a3 += r3[i] * xi;
+    }
+    pre[o] = a0;
+    pre[o + 1] = a1;
+    pre[o + 2] = a2;
+    pre[o + 3] = a3;
+  }
+  for (; o < out; ++o) {
+    double acc = b[o];
+    const double* row = w + o * in;
+    for (size_t i = 0; i < in; ++i) acc += row[i] * x[i];
+    pre[o] = acc;
+  }
+}
+
 }  // namespace
 
 Mlp::Mlp(std::vector<size_t> layer_sizes, std::vector<Activation> activations,
@@ -85,12 +118,7 @@ std::vector<double> Mlp::Forward(const std::vector<double>& input,
     const double* w = params_.data() + WeightOffset(l);
     const double* b = params_.data() + BiasOffset(l);
     std::vector<double> pre(out);
-    for (size_t o = 0; o < out; ++o) {
-      double acc = b[o];
-      const double* row = w + o * in;
-      for (size_t i = 0; i < in; ++i) acc += row[i] * current[i];
-      pre[o] = acc;
-    }
+    Affine(w, b, in, out, current.data(), pre.data());
     std::vector<double> post(out);
     for (size_t o = 0; o < out; ++o) {
       post[o] = Activate(activations_[l], pre[o]);

@@ -131,6 +131,10 @@ void DdpgOptimizer::ObserveWithMetrics(const Configuration& config,
 }
 
 void DdpgOptimizer::TrainStep() {
+  static obs::Histogram& train_hist =
+      obs::MetricsRegistry::Get().histogram("ddpg.train");
+  obs::ScopedLatency train_latency(&train_hist);
+  DBTUNE_TRACE_SPAN("ddpg.train");
   const size_t batch = std::min(ddpg_options_.batch_size, replay_.size());
   const size_t action_dim = space_.dimension();
 

@@ -90,9 +90,10 @@ Configuration SmacOptimizer::Suggest() {
     candidates.push_back(std::move(u));
   }
 
-  auto ei_of = [&](const std::vector<double>& unit) {
+  // EI of an already snapped point.
+  auto ei_of = [&](const std::vector<double>& snapped) {
     double mean = 0.0, var = 0.0;
-    forest_.PredictMeanVar(space_.SnapUnit(unit), &mean, &var);
+    forest_.PredictMeanVar(snapped, &mean, &var);
     return ExpectedImprovement(mean, var, best);
   };
 
@@ -116,22 +117,27 @@ Configuration SmacOptimizer::Suggest() {
   const size_t starts = std::min<size_t>(5, ei_order.size());
   for (size_t s = 0; s < starts; ++s) {
     std::vector<double> current = candidates[ei_order[s]];
+    // `snapped` is SnapUnit(current) throughout: a probe changes one
+    // coordinate, so it re-snaps that one and puts it back on reject.
+    std::vector<double> snapped = space_.SnapUnit(current);
     double current_ei = ei[ei_order[s]];
     // Scale the search length with dimensionality (SMAC's one-exchange
     // neighbourhood sweeps every parameter).
     const int steps = static_cast<int>(std::max<size_t>(24, 2 * d));
     for (int step = 0; step < steps; ++step) {
-      std::vector<double> probe = current;
       const size_t j = rng_.WeightedIndex(dim_weights);
-      if (space_.knob(j).is_categorical()) {
-        probe[j] = rng_.Uniform();
-      } else {
-        probe[j] = std::clamp(probe[j] + rng_.Gaussian(0.0, 0.05), 0.0, 1.0);
-      }
-      const double probe_ei = ei_of(probe);
+      const double v =
+          space_.knob(j).is_categorical()
+              ? rng_.Uniform()
+              : std::clamp(current[j] + rng_.Gaussian(0.0, 0.05), 0.0, 1.0);
+      const double kept = snapped[j];
+      snapped[j] = space_.SnapUnitAt(j, v);
+      const double probe_ei = ei_of(snapped);
       if (probe_ei > current_ei) {
-        current = std::move(probe);
+        current[j] = v;
         current_ei = probe_ei;
+      } else {
+        snapped[j] = kept;
       }
     }
     if (current_ei > best_ei) {

@@ -90,15 +90,15 @@ double RandomForest::Predict(const std::vector<double>& x) const {
 void RandomForest::PredictMeanVar(const std::vector<double>& x, double* mean,
                                   double* variance) const {
   DBTUNE_CHECK_MSG(fitted(), "Predict before Fit");
-  std::vector<double> predictions(trees_.size());
-  // Indexed writes keep the Mean/Variance reduction order fixed, so the
-  // ensemble statistics do not depend on the pool size.
-  ParallelFor(GlobalPool(), 0, trees_.size(), /*grain=*/16,
-              [&](size_t begin, size_t end) {
-                for (size_t t = begin; t < end; ++t) {
-                  predictions[t] = trees_[t].Predict(x);
-                }
-              });
+  // One query walks a few dozen small trees: cheaper inline than through
+  // the pool, and per-thread scratch keeps it allocation-free (the batched
+  // path runs queries on pool workers, each with its own buffer). Trees
+  // are visited in index order, so Mean/Variance reduce in a fixed order.
+  static thread_local std::vector<double> predictions;
+  predictions.resize(trees_.size());
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    predictions[t] = trees_[t].Predict(x);
+  }
   *mean = Mean(predictions);
   *variance = Variance(predictions);
 }

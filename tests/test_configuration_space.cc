@@ -1,5 +1,8 @@
 #include "knobs/configuration_space.h"
 
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "knobs/catalog.h"
@@ -50,6 +53,28 @@ TEST(ConfigurationSpaceTest, SnapUnitMatchesFromUnitToUnitRoundTrip) {
     const std::vector<double> snapped = space.SnapUnit(u);
     const std::vector<double> round_trip = space.ToUnit(space.FromUnit(u));
     EXPECT_EQ(snapped, round_trip);  // bitwise, not approximate
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// SMAC's hill climb re-snaps one coordinate per probe through
+// SnapUnitAt; the vector its forest sees must equal SnapUnit's bit for
+// bit, on every knob type, at the edges and outside [0, 1].
+TEST(ConfigurationSpaceTest, SnapUnitAtMatchesSnapUnitBitwise) {
+  const ConfigurationSpace space = MySqlKnobCatalog();
+  const size_t d = space.dimension();
+  for (double u : {-0.1, 0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.1}) {
+    const std::vector<double> snapped =
+        space.SnapUnit(std::vector<double>(d, u));
+    for (size_t i = 0; i < d; ++i) {
+      EXPECT_EQ(Bits(space.SnapUnitAt(i, u)), Bits(snapped[i]))
+          << space.knob(i).name() << " at u = " << u;
+    }
   }
 }
 

@@ -1,8 +1,13 @@
 #include "knobs/knob.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
+
+#include "knobs/catalog.h"
 
 namespace dbtune {
 namespace {
@@ -29,6 +34,42 @@ TEST(KnobTest, LogScaleEncodeDecode) {
   EXPECT_NEAR(k.Decode(0.5), 32.0, 1e-9);
   EXPECT_DOUBLE_EQ(k.Encode(1.0), 0.0);
   EXPECT_DOUBLE_EQ(k.Encode(1024.0), 1.0);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Log-scaled knobs cache log(min) and log(max) - log(min) at build time;
+// Encode/Decode must stay bitwise equal to the formula that calls
+// std::log on the bounds per value.
+TEST(KnobTest, CachedLogBoundsMatchUncachedFormulaBitwise) {
+  const ConfigurationSpace space = MySqlKnobCatalog();
+  size_t log_knobs = 0;
+  for (size_t i = 0; i < space.dimension(); ++i) {
+    const Knob& k = space.knob(i);
+    if (!k.log_scale()) continue;
+    ++log_knobs;
+    const double lo = k.min();
+    const double hi = k.max();
+    for (double u : {-0.1, 0.0, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.1}) {
+      double v = std::exp(std::log(lo) +
+                          std::clamp(u, 0.0, 1.0) *
+                              (std::log(hi) - std::log(lo)));
+      if (k.type() == KnobType::kInteger) v = std::round(v);
+      v = std::clamp(v, lo, hi);
+      EXPECT_EQ(Bits(k.Decode(u)), Bits(v)) << k.name() << " u = " << u;
+    }
+    for (double f : {0.0, 1e-9, 0.3, 0.5, 0.77, 1.0}) {
+      const double value = k.Clip(lo + f * (hi - lo));
+      const double e = (std::log(value) - std::log(lo)) /
+                       (std::log(hi) - std::log(lo));
+      EXPECT_EQ(Bits(k.Encode(value)), Bits(e)) << k.name() << " f = " << f;
+    }
+  }
+  EXPECT_GT(log_knobs, 0u);
 }
 
 TEST(KnobTest, IntegerRoundsOnDecode) {

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "knobs/catalog.h"
+#include "obs/metrics.h"
 #include "optimizer/ddpg.h"
+#include "optimizer/genetic.h"
 #include "optimizer/gp_bo.h"
 #include "optimizer/mixed_kernel_bo.h"
 #include "optimizer/smac.h"
@@ -231,6 +233,36 @@ TEST(DdpgTest, UsesMetricsAsState) {
   EXPECT_EQ(ddpg.num_observations(), 40u);
 }
 
+// Each actor/critic update is timed under `ddpg.train`; recording it
+// leaves the trajectory untouched.
+TEST(DdpgTest, TrainStepsAreTimedWithoutChangingTheTrajectory) {
+  const ConfigurationSpace space = MakeContinuousSpace(3);
+  DdpgOptions ddpg_options;
+  ddpg_options.state_dim = 3;
+  ddpg_options.batch_size = 4;
+  ddpg_options.train_steps_per_observe = 2;
+  auto run = [&] {
+    OptimizerOptions options;
+    options.seed = 23;
+    DdpgOptimizer ddpg(space, options, ddpg_options);
+    std::vector<double> trace;
+    for (int i = 0; i < 10; ++i) {
+      const Configuration c = ddpg.Suggest();
+      ddpg.ObserveWithMetrics(c, ConcaveObjective(c), c.values());
+      trace.insert(trace.end(), c.values().begin(), c.values().end());
+    }
+    return trace;
+  };
+  const std::vector<double> untimed = run();
+  obs::ScopedMetricsForTest metrics_on;
+  const obs::Histogram& train =
+      obs::MetricsRegistry::Get().histogram("ddpg.train");
+  const uint64_t before = train.count();
+  EXPECT_EQ(run(), untimed);
+  // Observations 4..10 fill the batch, each runs 2 steps.
+  EXPECT_EQ(train.count() - before, 14u);
+}
+
 TEST(TpeWeaknessTest, InteractionBlindness) {
   // Saddle objective: score = (2a-1)(2b-1). Marginals are flat; TPE's
   // independent densities cannot see the structure while SMAC's forest
@@ -395,20 +427,25 @@ TEST(ScoreCandidatesTest, SnapsTiesLowAndDestandardizes) {
   EXPECT_DOUBLE_EQ(info.predicted_variance, 13.0 * 0.2);
 }
 
+void DigestSuggestion(const Configuration& c, const SuggestInfo& info,
+                      Fnv1a* digest) {
+  for (double v : c.values()) digest->Add(v);
+  digest->Add(info.has_prediction);
+  digest->Add(info.predicted_mean);
+  digest->Add(info.predicted_variance);
+  digest->Add(info.has_acquisition);
+  digest->Add(info.acquisition_best);
+  digest->Add(info.acquisition_spread);
+  digest->Add(static_cast<uint64_t>(info.acquisition_pool));
+}
+
 uint64_t TrajectoryDigest(Optimizer* optimizer, size_t* model_suggestions) {
   Fnv1a digest;
   *model_suggestions = 0;
   for (int i = 0; i < 20; ++i) {
     const Configuration c = optimizer->Suggest();
-    for (double v : c.values()) digest.Add(v);
     const SuggestInfo& info = optimizer->last_suggest_info();
-    digest.Add(info.has_prediction);
-    digest.Add(info.predicted_mean);
-    digest.Add(info.predicted_variance);
-    digest.Add(info.has_acquisition);
-    digest.Add(info.acquisition_best);
-    digest.Add(info.acquisition_spread);
-    digest.Add(static_cast<uint64_t>(info.acquisition_pool));
+    DigestSuggestion(c, info, &digest);
     if (info.has_acquisition) ++*model_suggestions;
     optimizer->ObserveWithMetrics(c, MixedObjective(c), MixedMetrics(c));
   }
@@ -426,6 +463,8 @@ TEST(TrajectoryDigestTest, SuggestionsAndInfoMatchRecordedDigests) {
     const char* name;
     std::unique_ptr<Optimizer> optimizer;
     uint64_t expected;
+    // Model-free families (DDPG, GA) report no acquisition step.
+    size_t min_model_suggestions = 10;
   };
   std::vector<Case> cases;
   cases.push_back({"vanilla_bo",
@@ -456,17 +495,63 @@ TEST(TrajectoryDigestTest, SuggestionsAndInfoMatchRecordedDigests) {
                    std::make_unique<WorkloadMappingOptimizer>(
                        space, options, &repo, TransferBase::kMixedKernelBo),
                    0x075fcd2793515145ULL});
+  // A batch of 8 lets DDPG train (8 minibatches per observe) from the
+  // eighth observation on, so the digest pins the actor/critic updates
+  // and not only the initial actor's forward pass.
+  DdpgOptions ddpg_options;
+  ddpg_options.state_dim = 3;
+  ddpg_options.batch_size = 8;
+  cases.push_back({"ddpg",
+                   std::make_unique<DdpgOptimizer>(space, options,
+                                                   ddpg_options),
+                   0xd39df26e6d31064cULL, 0});
+  // A population of 6 breeds three generations within 20 suggestions.
+  GeneticOptions ga_options;
+  ga_options.population_size = 6;
+  cases.push_back({"ga",
+                   std::make_unique<GeneticOptimizer>(space, options,
+                                                      ga_options),
+                   0x402d4acd7942abcdULL, 0});
   for (Case& c : cases) {
     size_t model_suggestions = 0;
     const uint64_t digest =
         TrajectoryDigest(c.optimizer.get(), &model_suggestions);
     // The digest only pins the acquisition step if the model ran.
-    EXPECT_GE(model_suggestions, 10u) << c.name;
+    EXPECT_GE(model_suggestions, c.min_model_suggestions) << c.name;
     char hex[32];
     std::snprintf(hex, sizeof(hex), "0x%016llxULL",
                   static_cast<unsigned long long>(digest));
     EXPECT_EQ(digest, c.expected) << c.name << " digest " << hex;
   }
+}
+
+// SMAC on the 197-knob catalog: the hill climb's 394 probes per start
+// touch every knob type, so a probe whose re-snapped coordinate is not
+// put back on reject changes the EI of later probes. The four-knob
+// space above is too coarse for the forest to notice.
+TEST(TrajectoryDigestTest, SmacOnTheFullCatalogMatchesRecordedDigest) {
+  const ConfigurationSpace space = MySqlKnobCatalog();
+  OptimizerOptions options;
+  options.seed = 97;
+  options.initial_design = 5;
+  SmacOptimizer smac(space, options);
+  Fnv1a digest;
+  for (int i = 0; i < 14; ++i) {
+    const Configuration c = smac.Suggest();
+    DigestSuggestion(c, smac.last_suggest_info(), &digest);
+    const std::vector<double> u = space.ToUnit(c);
+    double score = 0.0;
+    for (size_t j = 0; j < u.size(); ++j) {
+      const double target = (j % 3 == 0) ? 0.8 : 0.3;
+      const double weight = static_cast<double>(1 + j % 5);
+      score -= weight * (u[j] - target) * (u[j] - target);
+    }
+    smac.Observe(c, score);
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                static_cast<unsigned long long>(digest.value()));
+  EXPECT_EQ(digest.value(), 0x2e52dc13f5d0758cULL) << "digest " << hex;
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // compare full outputs with exact equality.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "transfer/workload_mapping.h"
 #include "util/matrix.h"
 #include "util/random.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace dbtune {
@@ -240,6 +243,46 @@ TEST(ParallelDeterminismTest, RandomForestFitAndPredict) {
   EXPECT_EQ(run(1), run(4));
 }
 
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The scalar forest query walks the trees inline in index order; the
+// batched path spreads queries across the pool. Thirty trees cross the
+// old per-query grain of 16, and both paths must agree bit for bit at
+// every pool size, with the per-tree mean and variance reduced in tree
+// order.
+TEST(ParallelDeterminismTest, RandomForestScalarQueryMatchesBatch) {
+  const FeatureMatrix x = MakeInputs(45, 12, 53);
+  const std::vector<double> y = MakeTargets(x);
+  const FeatureMatrix queries = MakeInputs(40, 12, 59);
+  RandomForestOptions options;
+  options.num_trees = 30;
+  options.seed = 61;
+  RandomForest forest(options);
+  ASSERT_TRUE(forest.Fit(x, y).ok());
+  for (size_t pool_size : {1, 2, 8}) {
+    PoolSizeGuard guard(pool_size);
+    std::vector<double> means, vars;
+    forest.PredictMeanVarBatch(queries, &means, &vars);
+    ASSERT_EQ(means.size(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      double mean = 0.0, var = 0.0;
+      forest.PredictMeanVar(queries[q], &mean, &var);
+      EXPECT_EQ(Bits(mean), Bits(means[q])) << "pool " << pool_size;
+      EXPECT_EQ(Bits(var), Bits(vars[q])) << "pool " << pool_size;
+      std::vector<double> per_tree;
+      for (const RegressionTree& tree : forest.trees()) {
+        per_tree.push_back(tree.Predict(queries[q]));
+      }
+      EXPECT_EQ(Bits(mean), Bits(Mean(per_tree)));
+      EXPECT_EQ(Bits(var), Bits(Variance(per_tree)));
+    }
+  }
+}
+
 // Full optimizer loops: suggestions must be identical configuration by
 // configuration, which exercises parallel surrogate fits, posterior
 // queries, and acquisition scoring end to end.
@@ -381,6 +424,46 @@ TEST(ParallelDeterminismTest, SmacTrajectory) {
     options.seed = 37;
     return std::make_unique<SmacOptimizer>(space, options);
   });
+}
+
+// SMAC's hill climb re-snaps only the probed coordinate and restores it
+// on reject; on a space with log-scaled, integer and categorical knobs
+// that restore runs through every knob type.
+TEST(ParallelDeterminismTest, SmacTrajectoryOnMixedSpace) {
+  auto run = [](size_t pool_size) {
+    PoolSizeGuard guard(pool_size);
+    std::vector<Knob> knobs;
+    knobs.push_back(Knob::Continuous("ratio", 0.0, 1.0, 0.5));
+    knobs.push_back(Knob::Continuous("buffer_mb", 8.0, 4096.0, 128.0,
+                                     /*log_scale=*/true));
+    knobs.push_back(Knob::Integer("workers", 1, 16, 4));
+    knobs.push_back(Knob::Integer("io_capacity", 100, 20000, 200,
+                                  /*log_scale=*/true));
+    knobs.push_back(Knob::Categorical("flush", {"off", "lazy", "eager"}, 0));
+    const ConfigurationSpace space(std::move(knobs));
+    OptimizerOptions options;
+    options.seed = 43;
+    SmacOptimizer optimizer(space, options);
+    const double category_bonus[] = {0.0, 0.4, -0.2};
+    std::vector<double> trace;
+    for (int i = 0; i < 20; ++i) {
+      const Configuration c = optimizer.Suggest();
+      const double score =
+          -(c[0] - 0.3) * (c[0] - 0.3) -
+          0.1 * std::abs(std::log2(c[1]) - 9.0) -
+          0.05 * (c[2] - 11.0) * (c[2] - 11.0) / 16.0 -
+          0.1 * std::abs(std::log10(c[3]) - 3.0) +
+          category_bonus[static_cast<size_t>(c[4])];
+      optimizer.Observe(c, score);
+      for (size_t j = 0; j < c.size(); ++j) trace.push_back(c[j]);
+      trace.push_back(optimizer.last_suggest_info().predicted_mean);
+      trace.push_back(optimizer.last_suggest_info().acquisition_best);
+    }
+    return trace;
+  };
+  const std::vector<double> pool1 = run(1);
+  EXPECT_EQ(pool1, run(2));
+  EXPECT_EQ(pool1, run(8));
 }
 
 TEST(ParallelDeterminismTest, TurboTrajectory) {
